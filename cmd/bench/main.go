@@ -6,7 +6,7 @@
 //
 //	bench -exp table2|fig3|fig4|fig5|fig6|fig7|fig8|fig9|augment|enginesweep|recovery|profile|all
 //	      [-scale N] [-procs P] [-threads T] [-no-overlap] [-transport inproc|tcp]
-//	      [-direction push|pull|auto|default] [-compress off|on]
+//	      [-direction push|pull|auto] [-compress off|on]
 //	      [-checkpoint-every K] [-fault none|crash|straggler|rma]
 //	      [-fault-rank R] [-fault-at N] [-fault-delay D] [-watchdog D]
 //	      [-json out.json] [-trace out.json] [-timeseries out.csv]
@@ -68,8 +68,8 @@ func main() {
 	noOverlap := flag.Bool("no-overlap", false, "disable the split-phase compute/communication overlap (results are bit-identical; wall clocks and the exposed-comm ledger change)")
 	matrix := flag.String("matrix", "road_usa", "matrix for the -json measured solve profile: a Table II stand-in name or g500/er/ssca (RMAT)")
 	transport := flag.String("transport", "inproc", "transport backend for the measured solve profile: inproc, or tcp (loopback sockets, one endpoint per rank)")
-	direction := flag.String("direction", "default", "SpMV kernel policy for the measured solve profile: push, pull, auto, or default (follow the config's direction-optimized setting)")
-	engine := flag.String("engine", "", "matching engine for the measured solve profile: bfs, bfs-ss, bfs-graft, auction, auto (cost-model selection), or empty for the default (bfs); graft is a deprecated alias for bfs-graft")
+	direction := flag.String("direction", "push", "SpMV kernel policy for the measured solve profile: push, pull, or auto")
+	engine := flag.String("engine", "bfs", "matching engine for the measured solve profile: bfs, bfs-ss, bfs-graft, auction, or auto (cost-model selection)")
 	compress := flag.String("compress", "off", "delta-varint wire compression for the measured solve profile: off or on (results are bit-identical; wire volume and the WordsEnc meters change)")
 	jsonPath := flag.String("json", "", "write machine-readable results (experiment rows + measured solve profile) to this path")
 	checkpointEvery := flag.Int("checkpoint-every", 0, "checkpoint stride (phases) for the recovery benchmark; 0 means every phase")

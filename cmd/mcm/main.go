@@ -68,11 +68,9 @@ func main() {
 	semiringFlag := flag.String("semiring", "minparent", "SpMV semiring: minparent, randroot, randparent")
 	augment := flag.String("augment", "auto", "augmentation: auto, level, path")
 	noPrune := flag.Bool("no-prune", false, "disable tree pruning (Fig. 8 ablation)")
-	dirOpt := flag.Bool("direction-optimized", false, "enable bottom-up BFS for large frontiers")
-	direction := flag.String("direction", "default", "SpMV kernel policy: push, pull, auto, or default (follow -direction-optimized)")
+	direction := flag.String("direction", "push", "SpMV kernel policy: push, pull, or auto (bottom-up BFS for large frontiers)")
 	compress := flag.Bool("compress", false, "enable the delta-varint wire codec (tcp payload compression; all backends meter the encoded volume)")
-	engine := flag.String("engine", "", "matching engine: bfs, bfs-ss, bfs-graft, auction, or auto (cost-model selection); empty follows -graft")
-	graft := flag.Bool("graft", false, "use the tree-grafting MCM variant (deprecated alias for -engine bfs-graft)")
+	engine := flag.String("engine", "bfs", "matching engine: bfs, bfs-ss, bfs-graft, auction, or auto (cost-model selection)")
 	serial := flag.String("serial", "", "also run a serial baseline for comparison: hk, pf, msbfs, graft, pr")
 	noPermute := flag.Bool("no-permute", false, "skip the load-balancing random permutation")
 	verify := flag.Bool("verify", false, "certify the result with the König vertex-cover certificate")
@@ -132,16 +130,14 @@ func main() {
 	fmt.Println(g)
 
 	opts := mcmdist.Options{
-		Procs:              *procs,
-		Threads:            *threads,
-		DisablePrune:       *noPrune,
-		DirectionOptimized: *dirOpt,
-		Direction:          *direction,
-		Compress:           *compress,
-		Engine:             *engine,
-		TreeGrafting:       *graft,
-		Permute:            !*noPermute,
-		Seed:               *seed,
+		Procs:        *procs,
+		Threads:      *threads,
+		DisablePrune: *noPrune,
+		Direction:    *direction,
+		Compress:     *compress,
+		Engine:       *engine,
+		Permute:      !*noPermute,
+		Seed:         *seed,
 	}
 	switch *initAlg {
 	case "none":
@@ -202,8 +198,8 @@ func main() {
 			RMAT: *rmatClass, Matrix: *matrix, Scale: *scale, Seed: *seed,
 			Procs: *procs, Threads: *threads,
 			Init: *initAlg, Semiring: *semiringFlag, Augment: *augment,
-			NoPrune: *noPrune, DirectionOptimized: *dirOpt, Direction: *direction,
-			Compress: *compress, Engine: *engine, Graft: *graft, NoPermute: *noPermute,
+			NoPrune: *noPrune, Direction: *direction,
+			Compress: *compress, Engine: *engine, NoPermute: *noPermute,
 			ObsSpans: *traceOut != "", ObsSeries: *timeseries != "", ObsMetrics: wantMetrics,
 			FlightDir: *flightDir,
 		}
@@ -381,8 +377,8 @@ type obsWriter interface {
 // final generation's merged world observation) to obsWriter.
 type collectorOutputs struct{ col *obs.Collector }
 
-func (c collectorOutputs) WriteTrace(w io.Writer) error          { return c.col.WriteTrace(w) }
-func (c collectorOutputs) WriteTimeSeriesCSV(w io.Writer) error  { return c.col.WriteSeriesCSV(w) }
+func (c collectorOutputs) WriteTrace(w io.Writer) error         { return c.col.WriteTrace(w) }
+func (c collectorOutputs) WriteTimeSeriesCSV(w io.Writer) error { return c.col.WriteSeriesCSV(w) }
 func (c collectorOutputs) WriteMetrics(w io.Writer) error {
 	reg := c.col.Registry()
 	if reg == nil {

@@ -146,17 +146,17 @@ func DecodeCheckpoint(data []byte) (*Checkpoint, error) {
 
 // CheckpointHash fingerprints the parts of the configuration that determine
 // the solve trajectory for an n1 x n2 problem, so a restore onto a changed
-// configuration is rejected instead of silently diverging. The engine name
-// (resolved from the legacy TreeGrafting knob when Engine is unset)
-// replaces the v2 TreeGrafting boolean, which it subsumes. AddOp is a
-// function value and deliberately excluded; callers that vary the semiring
-// across restarts must carry that discipline themselves.
+// configuration is rejected instead of silently diverging. v4 dropped the
+// removed direction-optimized boolean (Direction subsumes it), so
+// checkpoints hashed under v3 are refused rather than resumed under a
+// reinterpreted configuration. AddOp is a function value and deliberately
+// excluded; callers that vary the semiring across restarts must carry that
+// discipline themselves.
 func (c Config) CheckpointHash(n1, n2 int) uint64 {
 	c = c.withDefaults()
 	h := fnv.New64a()
-	fmt.Fprintf(h, "v3|%s|%d|%d|%d|%d|%d|%v|%v|%g|%d|%v|%d|%d",
-		c.engineOrDefault(), n1, n2, c.Procs, int(c.Init), int(c.Augment),
-		c.DisablePrune, c.DirectionOptimized,
+	fmt.Fprintf(h, "v4|%s|%d|%d|%d|%d|%d|%v|%g|%d|%v|%d|%d",
+		c.Engine, n1, n2, c.Procs, int(c.Init), int(c.Augment), c.DisablePrune,
 		c.PullThreshold, int(c.Direction), c.Permute, c.Seed, c.GridRows*1000+c.GridCols)
 	return h.Sum64()
 }
@@ -185,7 +185,7 @@ func (s *Solver) maybeCheckpoint(phase int, mater, matec *dvec.Dense) {
 			Phase:       phase,
 			Cardinality: card,
 			ConfigHash:  s.Cfg.CheckpointHash(s.N1, s.N2),
-			Engine:      s.Cfg.engineOrDefault(),
+			Engine:      s.Cfg.Engine,
 			N1:          s.N1,
 			N2:          s.N2,
 			MateR:       fullR,
@@ -216,7 +216,7 @@ func (s *Solver) RestoreMates(ck *Checkpoint) (mater, matec *dvec.Dense, err err
 		return nil, nil, fmt.Errorf("core: checkpoint mate vectors are %dx%d, header says %dx%d",
 			len(ck.MateR), len(ck.MateC), ck.N1, ck.N2)
 	}
-	if want := s.Cfg.engineOrDefault(); ck.Engine != "" && ck.Engine != want {
+	if want := s.Cfg.Engine; ck.Engine != "" && ck.Engine != want {
 		return nil, nil, fmt.Errorf("core: checkpoint was taken by engine %q, refusing cross-engine resume with %q", ck.Engine, want)
 	}
 	if want := s.Cfg.CheckpointHash(s.N1, s.N2); ck.ConfigHash != want {

@@ -3,9 +3,11 @@ package core
 import (
 	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"mcmdist/internal/matching"
+	"mcmdist/internal/rmat"
 	"mcmdist/internal/semiring"
 	"mcmdist/internal/verify"
 )
@@ -152,7 +154,9 @@ func TestCheckpointHashSensitivity(t *testing.T) {
 		{Procs: 4, Init: InitKarpSipser},
 		{Procs: 4, Init: InitGreedy, Augment: AugmentPathParallel},
 		{Procs: 4, Init: InitGreedy, DisablePrune: true},
-		{Procs: 4, Init: InitGreedy, TreeGrafting: true},
+		{Procs: 4, Init: InitGreedy, Engine: EngineBFSGraft},
+		{Procs: 4, Init: InitGreedy, Direction: DirectionPull},
+		{Procs: 4, Init: InitGreedy, Direction: DirectionAuto},
 		{Procs: 4, Init: InitGreedy, Permute: true},
 		{Procs: 4, Init: InitGreedy, Seed: 7},
 	}
@@ -169,6 +173,49 @@ func TestCheckpointHashSensitivity(t *testing.T) {
 	same := Config{Procs: 4, Init: InitGreedy, Threads: 8, DisableOverlap: true}
 	if same.CheckpointHash(50, 50) != h {
 		t.Fatal("hash sensitive to execution-only knobs (Threads/DisableOverlap)")
+	}
+	// The zero engine and direction are the explicit defaults.
+	explicit := Config{Procs: 4, Init: InitGreedy, Engine: EngineBFS, Direction: DirectionPush}
+	if explicit.CheckpointHash(50, 50) != h {
+		t.Fatal("explicit bfs/push hashes unlike the zero config")
+	}
+}
+
+// TestCheckpointHashV3Refused: checkpoints hashed by the v3 scheme, which
+// still read the removed DirectionOptimized knob, are refused with the
+// config-hash error instead of being resumed under a reinterpreted
+// configuration. The v3 values were recorded for this graph before the
+// knob was removed: the default config, {TreeGrafting: true} and
+// {DirectionOptimized: true}, whose spellings are now the configs below.
+func TestCheckpointHashV3Refused(t *testing.T) {
+	a := rmat.MustGenerate(rmat.G500, 7, 4, 3)
+	for _, tc := range []struct {
+		cfg Config
+		v3  uint64
+	}{
+		{Config{Procs: 4, Seed: 2}, 0x3640e3dd9846a742},
+		{Config{Procs: 4, Seed: 2, Engine: EngineBFSGraft}, 0xf29cc8dfa8adbd1},
+		{Config{Procs: 4, Seed: 2, Direction: DirectionAuto}, 0xc38ac3beb268f801},
+	} {
+		var ck *Checkpoint
+		cfg := tc.cfg
+		cfg.CheckpointEvery = 1
+		cfg.OnCheckpoint = func(c *Checkpoint) {
+			if ck == nil {
+				ck = c
+			}
+		}
+		mustSolve(t, a, cfg)
+		if ck == nil {
+			t.Fatalf("%+v: no checkpoint taken", tc.cfg)
+		}
+		ck.ConfigHash = tc.v3
+		resume := tc.cfg
+		resume.Resume = ck
+		_, err := Solve(a, resume)
+		if err == nil || !strings.Contains(err.Error(), "config hash") {
+			t.Fatalf("%+v: v3 checkpoint not refused by the config hash: %v", tc.cfg, err)
+		}
 	}
 }
 

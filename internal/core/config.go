@@ -83,23 +83,18 @@ func (am AugmentMode) String() string {
 type Direction int
 
 const (
-	// DirectionDefault preserves the historical behavior: the per-iteration
-	// heuristic when DirectionOptimized is set, static push otherwise.
-	DirectionDefault Direction = iota
-	// DirectionPush pins every iteration to the top-down kernel.
-	DirectionPush
+	// DirectionPush pins every iteration to the top-down kernel. It is the
+	// zero value: the paper's static push schedule.
+	DirectionPush Direction = iota
 	// DirectionPull pins every iteration to the bottom-up kernel.
 	DirectionPull
-	// DirectionAuto enables the per-iteration heuristic regardless of
-	// DirectionOptimized.
+	// DirectionAuto runs the per-iteration push/pull heuristic.
 	DirectionAuto
 )
 
 // String names the direction mode like the cmd/bench flag values.
 func (d Direction) String() string {
 	switch d {
-	case DirectionDefault:
-		return "default"
 	case DirectionPush:
 		return "push"
 	case DirectionPull:
@@ -111,19 +106,17 @@ func (d Direction) String() string {
 	}
 }
 
-// ParseDirection maps the flag spellings to a Direction.
+// ParseDirection maps the flag spellings to a Direction; "" is push.
 func ParseDirection(s string) (Direction, error) {
 	switch s {
-	case "", "default":
-		return DirectionDefault, nil
-	case "push":
+	case "", "push":
 		return DirectionPush, nil
 	case "pull":
 		return DirectionPull, nil
 	case "auto":
 		return DirectionAuto, nil
 	}
-	return DirectionDefault, fmt.Errorf("core: unknown direction %q (want push, pull or auto)", s)
+	return DirectionPush, fmt.Errorf("core: unknown direction %q (want push, pull or auto)", s)
 }
 
 // Config controls a distributed matching run.
@@ -131,9 +124,8 @@ type Config struct {
 	// Engine names the matching engine to run: a registered engine name
 	// ("bfs", "bfs-ss", "bfs-graft", "auction" — see EngineNames), "auto"
 	// to let ResolveEngineConfig pick per instance via the cost model, or
-	// "" to defer to the legacy TreeGrafting knob (the historical default,
-	// so existing configurations behave identically). Parse user input
-	// with ParseEngine.
+	// "" for "bfs", the paper's MCM-DIST. Parse user input with
+	// ParseEngine.
 	Engine string
 	// Procs is the number of simulated MPI ranks. Unless GridRows/GridCols
 	// are set it must be a perfect square (the configuration the paper
@@ -157,17 +149,6 @@ type Config struct {
 	Augment AugmentMode
 	// DisablePrune turns off Step 6 of Algorithm 2 (the Fig. 8 ablation).
 	DisablePrune bool
-	// TreeGrafting selects the tree-grafting MCM variant (MCMGraft), the
-	// distributed MS-BFS-Graft the paper lists as future work: alternating
-	// trees persist across phases and only augmented trees release their
-	// vertices.
-	TreeGrafting bool
-	// DirectionOptimized enables the bottom-up ("pull") BFS step for large
-	// frontiers — the direction optimization the paper lists as future
-	// work. When the frontier exceeds PullThreshold of the columns, the
-	// SpMV switches from scattering frontier columns to having unvisited
-	// rows scan their own adjacency with early exit.
-	DirectionOptimized bool
 	// PullThreshold is the minimum frontier fraction (of n2) for the pull
 	// direction to be considered; 0 derives the threshold online from the
 	// alpha-beta cost model's push/pull crossover at the run's thread count
@@ -175,10 +156,11 @@ type Config struct {
 	// additionally requires the Beamer-style edge-count condition (see
 	// internal/core/direction.go and docs/KERNELS.md).
 	PullThreshold float64
-	// Direction pins the SpMV kernel choice: DirectionPush or DirectionPull
-	// hold one kernel for every iteration (deterministic for tests and
-	// ablations), DirectionAuto runs the per-iteration heuristic, and the
-	// zero value DirectionDefault defers to DirectionOptimized.
+	// Direction pins the SpMV kernel choice: DirectionPush (the zero value)
+	// or DirectionPull hold one kernel for every iteration, and
+	// DirectionAuto runs the per-iteration heuristic — the bottom-up
+	// ("pull") step for large frontiers, the direction optimization the
+	// paper lists as future work.
 	Direction Direction
 	// Compress enables the delta-varint wire codec (internal/wire) on the
 	// communication layer: id-stream payloads are delta+varint encoded on
@@ -188,18 +170,13 @@ type Config struct {
 	// Permute applies a random symmetric permutation before distributing,
 	// the load-balancing step of Section IV-A.
 	Permute bool
-	// DisableReuse turns off the per-rank runtime context's buffer arena
-	// and scratch reuse: every borrow falls back to a fresh allocation.
-	// The pooling on/off equivalence tests use this; production runs leave
-	// it false.
-	DisableReuse bool
-	// DisableOverlap turns off the split-phase compute/communication
-	// overlap: every collective runs in its blocking start-then-wait form
-	// and the solver's pipelined frontier count reverts to the loop-top
-	// allreduce. Results and communication meters are bit-identical either
-	// way (the overlap-equivalence tests assert this); the switch exists
-	// for those tests and for measuring how much latency the overlapped
-	// schedules hide. Production runs leave it false.
+	// DisableOverlap runs the world on the blocking schedule
+	// (mpi.RunConfig.DisableOverlap): every split-phase collective waits
+	// for all of its parts when it starts, so no communication hides behind
+	// computation. Results and communication meters are bit-identical
+	// either way (the overlap-equivalence tests assert this); the switch
+	// exists for those tests and for measuring how much latency the
+	// split-phase schedules hide. Production runs leave it false.
 	DisableOverlap bool
 	// Seed drives the permutation and any randomized initializer.
 	Seed int64
@@ -255,6 +232,9 @@ func (c Config) withDefaults() Config {
 	}
 	if c.Threads <= 0 {
 		c.Threads = 1
+	}
+	if c.Engine == "" {
+		c.Engine = EngineBFS
 	}
 	// PullThreshold 0 is meaningful (resolve from the cost model online);
 	// negative values are normalized to it.

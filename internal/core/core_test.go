@@ -117,11 +117,13 @@ func TestWorkedExamplePhase(t *testing.T) {
 	blocksT := spmat.Distribute2D(a.Transpose(), side, side)
 	stats := make([]*Stats, side*side)
 	var mateR, mateC []int64
-	err := RunDistributed(side, a.NRows, a.NCols, blocks, blocksT,
-		Config{Procs: side * side, AddOp: semiring.MinParent}, func(s *Solver) error {
+	err := RunDistributed(side, side, a.NRows, a.NCols, blocks, blocksT,
+		Config{Procs: side * side, AddOp: semiring.MinParent}, nil, func(s *Solver) error {
 			mater := dvec.NewDenseFrom(s.RowL, []int64{-1, 2, -1, 3, -1})
 			matec := dvec.NewDenseFrom(s.ColL, []int64{-1, -1, 1, 3, -1})
-			s.MCM(mater, matec)
+			if err := s.RunEngineByName(EngineBFS, mater, matec); err != nil {
+				return err
+			}
 			fullR := mater.Gather()
 			fullC := matec.Gather()
 			if s.G.World.Rank() == 0 {
@@ -387,7 +389,7 @@ func TestDirectionOptimizedMatchesOracle(t *testing.T) {
 		a := randomBipartite(rng, nr, nc, 4*(nr+nc))
 		want := matching.HopcroftKarp(a, nil).Cardinality()
 		for _, procs := range []int{1, 4, 9} {
-			res := mustSolve(t, a, Config{Procs: procs, DirectionOptimized: true})
+			res := mustSolve(t, a, Config{Procs: procs, Direction: DirectionAuto})
 			if res.Stats.Cardinality != want {
 				t.Fatalf("trial %d p=%d: %d, oracle %d", trial, procs, res.Stats.Cardinality, want)
 			}
@@ -401,7 +403,7 @@ func TestDirectionOptimizedUsesBothDirections(t *testing.T) {
 	// frontiers, forcing push.
 	rng := rand.New(rand.NewSource(24))
 	a := randomBipartite(rng, 200, 200, 900)
-	res := mustSolve(t, a, Config{Procs: 4, DirectionOptimized: true, Init: InitNone})
+	res := mustSolve(t, a, Config{Procs: 4, Direction: DirectionAuto, Init: InitNone})
 	if res.Stats.PullIterations == 0 {
 		t.Fatal("direction optimization never used pull despite full initial frontier")
 	}
@@ -419,7 +421,7 @@ func TestDirectionOptimizedOffUsesOnlyPush(t *testing.T) {
 	a := randomBipartite(rng, 50, 50, 200)
 	res := mustSolve(t, a, Config{Procs: 4})
 	if res.Stats.PullIterations != 0 {
-		t.Fatal("pull used without DirectionOptimized")
+		t.Fatal("pull used under the default push direction")
 	}
 	if res.Stats.PushIterations != res.Stats.Iterations {
 		t.Fatal("push iteration accounting wrong")
@@ -430,7 +432,7 @@ func TestPullThresholdRespected(t *testing.T) {
 	rng := rand.New(rand.NewSource(26))
 	a := randomBipartite(rng, 100, 100, 500)
 	// Threshold above 1.0 can never trigger: all pushes.
-	res := mustSolve(t, a, Config{Procs: 4, DirectionOptimized: true, PullThreshold: 1.5})
+	res := mustSolve(t, a, Config{Procs: 4, Direction: DirectionAuto, PullThreshold: 1.5})
 	if res.Stats.PullIterations != 0 {
 		t.Fatal("pull used despite impossible threshold")
 	}
@@ -447,8 +449,8 @@ func TestDistributedInitializersAreMaximal(t *testing.T) {
 		blocksT := spmat.Distribute2D(a.Transpose(), side, side)
 		for _, init := range []Init{InitGreedy, InitKarpSipser, InitDynMinDegree} {
 			var mateR, mateC []int64
-			err := RunDistributed(side, a.NRows, a.NCols, blocks, blocksT,
-				Config{Procs: side * side, Init: init}, func(s *Solver) error {
+			err := RunDistributed(side, side, a.NRows, a.NCols, blocks, blocksT,
+				Config{Procs: side * side, Init: init}, nil, func(s *Solver) error {
 					mater, matec := s.MaximalInit()
 					fullR := mater.Gather()
 					fullC := matec.Gather()
@@ -486,8 +488,8 @@ func TestCountMulMatchesSerialDegrees(t *testing.T) {
 		want[j] = int64(a.ColDegree(j))
 	}
 
-	err := RunDistributed(side, a.NRows, a.NCols, blocks, blocksT,
-		Config{Procs: side * side}, func(s *Solver) error {
+	err := RunDistributed(side, side, a.NRows, a.NCols, blocks, blocksT,
+		Config{Procs: side * side}, nil, func(s *Solver) error {
 			// Indicator over all rows.
 			urows := dvec.NewSparseInt(s.RowTL)
 			r := s.RowTL.MyRange()
@@ -524,7 +526,7 @@ func TestTreeGraftingMatchesOracle(t *testing.T) {
 		want := matching.HopcroftKarp(a, nil).Cardinality()
 		for _, procs := range []int{1, 4, 9} {
 			for _, init := range []Init{InitNone, InitGreedy, InitDynMinDegree} {
-				res := mustSolve(t, a, Config{Procs: procs, Init: init, TreeGrafting: true})
+				res := mustSolve(t, a, Config{Procs: procs, Init: init, Engine: EngineBFSGraft})
 				if res.Stats.Cardinality != want {
 					t.Fatalf("trial %d p=%d init=%v: graft %d, oracle %d",
 						trial, procs, init, res.Stats.Cardinality, want)
@@ -538,7 +540,7 @@ func TestTreeGraftingOnStructuredGraphs(t *testing.T) {
 	for _, sp := range gen.Suite()[:5] {
 		a := gen.MustGenerate(sp, 6)
 		want := matching.HopcroftKarp(a, nil).Cardinality()
-		res := mustSolve(t, a, Config{Procs: 4, Init: InitGreedy, TreeGrafting: true, Permute: true})
+		res := mustSolve(t, a, Config{Procs: 4, Init: InitGreedy, Engine: EngineBFSGraft, Permute: true})
 		if res.Stats.Cardinality != want {
 			t.Fatalf("%s: graft %d, oracle %d", sp.Name, res.Stats.Cardinality, want)
 		}
@@ -558,7 +560,7 @@ func TestTreeGraftingAllAugmentModes(t *testing.T) {
 	}
 	a := coo.ToCSC()
 	for _, mode := range []AugmentMode{AugmentLevelParallel, AugmentPathParallel} {
-		res := mustSolve(t, a, Config{Procs: 4, Init: InitGreedy, TreeGrafting: true, Augment: mode})
+		res := mustSolve(t, a, Config{Procs: 4, Init: InitGreedy, Engine: EngineBFSGraft, Augment: mode})
 		if res.Stats.Cardinality != n {
 			t.Fatalf("mode=%v: %d, want %d", mode, res.Stats.Cardinality, n)
 		}
@@ -568,7 +570,7 @@ func TestTreeGraftingAllAugmentModes(t *testing.T) {
 func TestTreeGraftingStats(t *testing.T) {
 	rng := rand.New(rand.NewSource(43))
 	a := randomBipartite(rng, 120, 120, 400) // sparse enough for several phases
-	res := mustSolve(t, a, Config{Procs: 4, Init: InitGreedy, TreeGrafting: true})
+	res := mustSolve(t, a, Config{Procs: 4, Init: InitGreedy, Engine: EngineBFSGraft})
 	if res.Stats.Phases > 0 && res.Stats.GraftReleasedRows == 0 {
 		t.Error("phases augmented but no rows ever released")
 	}
@@ -586,9 +588,9 @@ func TestAugmentedPathsAccounting(t *testing.T) {
 		a := randomBipartite(rng, 60, 60, 250)
 		for _, cfg := range []Config{
 			{Procs: 4, Init: InitGreedy},
-			{Procs: 4, Init: InitGreedy, TreeGrafting: true},
+			{Procs: 4, Init: InitGreedy, Engine: EngineBFSGraft},
 			{Procs: 9, Init: InitNone, Augment: AugmentLevelParallel},
-			{Procs: 4, Init: InitDynMinDegree, DirectionOptimized: true},
+			{Procs: 4, Init: InitDynMinDegree, Direction: DirectionAuto},
 		} {
 			res := mustSolve(t, a, cfg)
 			if res.Stats.Cardinality != res.Stats.InitCardinality+res.Stats.AugmentedPaths {
@@ -652,8 +654,8 @@ func TestEmptyRowsAndColumns(t *testing.T) {
 	a := coo.ToCSC()
 	for _, cfg := range []Config{
 		{Procs: 4},
-		{Procs: 4, TreeGrafting: true},
-		{Procs: 4, DirectionOptimized: true},
+		{Procs: 4, Engine: EngineBFSGraft},
+		{Procs: 4, Direction: DirectionAuto},
 		{Procs: 4, Init: InitKarpSipser},
 	} {
 		res := mustSolve(t, a, cfg)
@@ -676,11 +678,13 @@ func TestCommKindAttribution(t *testing.T) {
 
 	runAndMeter := func(mode AugmentMode) (rma, a2a, ag mpi.Meter) {
 		var w *mpi.World
-		err := RunDistributed(side, a.NRows, a.NCols, blocks, blocksT,
-			Config{Procs: side * side, Init: InitGreedy, Augment: mode},
+		err := RunDistributed(side, side, a.NRows, a.NCols, blocks, blocksT,
+			Config{Procs: side * side, Init: InitGreedy, Augment: mode}, nil,
 			func(s *Solver) error {
 				mater, matec := s.MaximalInit()
-				s.MCM(mater, matec)
+				if err := s.RunEngineByName(EngineBFS, mater, matec); err != nil {
+					return err
+				}
 				if s.G.World.Rank() == 0 {
 					w = s.G.World.World()
 				}
@@ -718,12 +722,12 @@ func TestRectangularGrids(t *testing.T) {
 	a := randomBipartite(rng, 70, 50, 320)
 	want := matching.HopcroftKarp(a, nil).Cardinality()
 	for _, shape := range [][2]int{{1, 4}, {4, 1}, {2, 3}, {3, 2}, {2, 8}, {1, 9}} {
-		for _, graft := range []bool{false, true} {
+		for _, engine := range []string{EngineBFS, EngineBFSGraft} {
 			cfg := Config{GridRows: shape[0], GridCols: shape[1],
-				Init: InitDynMinDegree, TreeGrafting: graft, Permute: true, Seed: 4}
+				Init: InitDynMinDegree, Engine: engine, Permute: true, Seed: 4}
 			res := mustSolve(t, a, cfg)
 			if res.Stats.Cardinality != want {
-				t.Fatalf("grid %v graft=%v: %d, oracle %d", shape, graft, res.Stats.Cardinality, want)
+				t.Fatalf("grid %v %s: %d, oracle %d", shape, engine, res.Stats.Cardinality, want)
 			}
 			if res.Procs != shape[0]*shape[1] {
 				t.Fatalf("grid %v: procs %d", shape, res.Procs)
@@ -748,10 +752,12 @@ func TestSingleSourceMatchesOracle(t *testing.T) {
 		blocks := spmat.Distribute2D(a, side, side)
 		blocksT := spmat.Distribute2D(a.Transpose(), side, side)
 		var card int
-		err := RunDistributed(side, a.NRows, a.NCols, blocks, blocksT,
-			Config{Procs: 4, Init: InitGreedy}, func(s *Solver) error {
+		err := RunDistributed(side, side, a.NRows, a.NCols, blocks, blocksT,
+			Config{Procs: 4, Init: InitGreedy}, nil, func(s *Solver) error {
 				mater, matec := s.MaximalInit()
-				s.MCMSingleSource(mater, matec)
+				if err := s.RunEngineByName(EngineBFSSingleSource, mater, matec); err != nil {
+					return err
+				}
 				if s.G.World.Rank() == 0 {
 					card = s.Stats.Cardinality
 				}
@@ -779,13 +785,15 @@ func TestSingleSourceNeedsFarMoreIterations(t *testing.T) {
 
 	iters := func(single bool) int {
 		var n int
-		err := RunDistributed(side, a.NRows, a.NCols, blocks, blocksT,
-			Config{Procs: 4, Init: InitNone}, func(s *Solver) error {
+		err := RunDistributed(side, side, a.NRows, a.NCols, blocks, blocksT,
+			Config{Procs: 4, Init: InitNone}, nil, func(s *Solver) error {
 				mater, matec := s.MaximalInit()
+				engine := EngineBFS
 				if single {
-					s.MCMSingleSource(mater, matec)
-				} else {
-					s.MCM(mater, matec)
+					engine = EngineBFSSingleSource
+				}
+				if err := s.RunEngineByName(engine, mater, matec); err != nil {
+					return err
 				}
 				if s.G.World.Rank() == 0 {
 					n = s.Stats.Iterations

@@ -38,8 +38,7 @@ func (d *dirState) resetPhase() { d.visitedRows = 0 }
 // adaptiveDirection reports whether the per-iteration heuristic is live —
 // the case that needs visited-row tracking and scan-productivity feedback.
 func (s *Solver) adaptiveDirection() bool {
-	return s.Cfg.Direction == DirectionAuto ||
-		(s.Cfg.Direction == DirectionDefault && s.Cfg.DirectionOptimized)
+	return s.Cfg.Direction == DirectionAuto
 }
 
 // chooseDirection decides the SpMV direction for one iteration: true means

@@ -8,10 +8,10 @@ import (
 )
 
 // This file holds the three MS-BFS engines behind the Engine seam. Each
-// Iterate() executes exactly one phase of the historical MCM, MCMSingleSource
-// or MCMGraft loop — same statements, same collective order, same tracer
-// spans — so the engines are bit-identical to the pre-seam solver (the
-// direction × compression × backend × threads sweep tests pin this). The
+// Iterate() executes exactly one phase of the MCM-DIST, single-source or
+// tree-grafting loop — same statements, same collective order, same tracer
+// spans as the solver had before the seam (the direction × compression ×
+// backend × threads sweep tests pin this). The
 // engines live in core rather than internal/engine because their phase
 // kernels are core's private SpMV/select/augment machinery and because
 // core's own in-package tests drive them through Solve; internal/engine
@@ -78,10 +78,7 @@ func (r *bfsRun) Iterate() (bool, error) {
 
 	for {
 		var frontierSize int
-		s.tr.track(OpOther, func() {
-			frontierSize = s.waitFrontierCount(fcCount, fc)
-			fcCount = nil
-		})
+		s.tr.track(OpOther, func() { frontierSize = int(fcCount.Wait()) })
 		if frontierSize == 0 {
 			break
 		}
@@ -396,10 +393,7 @@ func (r *bfsGraftRun) Iterate() (bool, error) {
 
 	for {
 		var frontierSize int
-		s.tr.track(OpOther, func() {
-			frontierSize = s.waitFrontierCount(fcCount, fc)
-			fcCount = nil
-		})
+		s.tr.track(OpOther, func() { frontierSize = int(fcCount.Wait()) })
 		if frontierSize == 0 {
 			break
 		}
@@ -538,4 +532,14 @@ func (r *bfsGraftRun) Finish() error {
 	s.captureThreadStats()
 	s.G.RT.Tracer().End(obs.KindSolve, "mcm-graft", r.solve0, int64(s.Stats.Cardinality))
 	return nil
+}
+
+// startFrontierCount begins the split-phase allreduce that sizes the next
+// column frontier. The solver loops start it the moment a frontier is
+// produced and Wait on it at the top of the next iteration, so the
+// reduction's latency hides behind the bookkeeping in between (and, for the
+// phase-final frontier, behind nothing — the request is simply waited). The
+// request meters at completion, inside the tracked loop-top section.
+func (s *Solver) startFrontierCount(fc *dvec.SparseV) *mpi.ValueRequest {
+	return s.G.World.IAllreduce(mpi.OpSum, int64(fc.LocalNnz()))
 }

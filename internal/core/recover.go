@@ -186,7 +186,7 @@ func SolveRecoverableGrid(a *spmat.CSC, pr, pc, n1, n2 int, blocks, blocksT [][]
 func runRecoveryAttempt(pr, pc, n1, n2 int, blocks, blocksT [][]*spmat.LocalMatrix,
 	cfg Config, ctxs []*rt.Ctx, pol RecoveryPolicy, gen int) (*Result, error) {
 	if pol.Worlds == nil {
-		return runAttemptGrid(nil, pr, pc, n1, n2, blocks, blocksT, cfg, ctxs)
+		return SolveGrid(nil, pr, pc, n1, n2, blocks, blocksT, cfg, ctxs)
 	}
 	eps, err := pol.Worlds(gen)
 	if err != nil {
@@ -200,7 +200,7 @@ func runRecoveryAttempt(pr, pc, n1, n2 int, blocks, blocksT [][]*spmat.LocalMatr
 		go func(i int, ep mpi.Transport) {
 			defer wg.Done()
 			defer ep.Close()
-			results[i], errs[i] = runAttemptGrid(ep, pr, pc, n1, n2, blocks, blocksT, cfg, ctxs)
+			results[i], errs[i] = SolveGrid(ep, pr, pc, n1, n2, blocks, blocksT, cfg, ctxs)
 		}(i, ep)
 	}
 	wg.Wait()
@@ -249,7 +249,7 @@ func validateCheckpoint(a *spmat.CSC, cfg Config, n1, n2 int, ck *Checkpoint, po
 	if len(ck.MateR) != n1 || len(ck.MateC) != n2 {
 		return fmt.Errorf("checkpoint mate vectors are %dx%d, want %dx%d", len(ck.MateR), len(ck.MateC), n1, n2)
 	}
-	if want := cfg.engineOrDefault(); ck.Engine != "" && ck.Engine != want {
+	if want := cfg.Engine; ck.Engine != "" && ck.Engine != want {
 		return fmt.Errorf("checkpoint was taken by engine %q, refusing cross-engine resume with %q", ck.Engine, want)
 	}
 	if want := cfg.CheckpointHash(n1, n2); ck.ConfigHash != want {

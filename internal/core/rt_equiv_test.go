@@ -1,11 +1,12 @@
 package core
 
-// Pooling on/off equivalence: MCM-DIST must compute the same matching
-// cardinality (and, the algorithm being deterministic, the same per-rank
-// communication meters) whether the runtime context's arena is enabled or
-// in pass-through mode (Config.DisableReuse). Any divergence means a pooled
-// buffer leaked state between borrows. The sweep mirrors the generator,
-// seed, and grid-shape combinations of the oracle tests in core_test.go.
+// Pooling on/off equivalence: MCM-DIST must compute the same matching (and,
+// the algorithm being deterministic, the same per-rank communication
+// meters) whether each rank's runtime context pools its arena (rt.New) or
+// is in pass-through mode (rt.NewDisabled, supplied through the ctxs
+// parameter). Any divergence means a pooled buffer leaked state between
+// borrows. The sweep mirrors the generator, seed, and grid-shape
+// combinations of the oracle tests in core_test.go.
 
 import (
 	"fmt"
@@ -14,25 +15,34 @@ import (
 
 	"mcmdist/internal/matching"
 	"mcmdist/internal/rmat"
+	"mcmdist/internal/rt"
 	"mcmdist/internal/semiring"
 	"mcmdist/internal/spmat"
 )
 
-// solveBothWays runs cfg pooled and unpooled and asserts identical
-// cardinality, oracle agreement, and identical per-rank meters.
+// solveBothWays runs cfg pooled and unpooled and asserts bit-identical
+// matchings, oracle agreement, and identical per-rank meters.
 func solveBothWays(t *testing.T, name string, a *spmat.CSC, cfg Config) {
 	t.Helper()
 	want := matching.HopcroftKarp(a, nil).Cardinality()
 	on := mustSolve(t, a, cfg)
-	cfgOff := cfg
-	cfgOff.DisableReuse = true
-	off := mustSolve(t, a, cfgOff)
-	if on.Stats.Cardinality != off.Stats.Cardinality {
-		t.Fatalf("%s: pooled cardinality %d, unpooled %d",
-			name, on.Stats.Cardinality, off.Stats.Cardinality)
+	procs := cfg.Procs
+	if cfg.GridRows > 0 {
+		procs = cfg.GridRows * cfg.GridCols
+	}
+	ctxs := make([]*rt.Ctx, max(procs, 1))
+	for r := range ctxs {
+		ctxs[r] = rt.NewDisabled(nil)
+	}
+	off, err := solveOn(nil, a, cfg, ctxs)
+	if err != nil {
+		t.Fatalf("%s: unpooled solve: %v", name, err)
 	}
 	if on.Stats.Cardinality != want {
 		t.Fatalf("%s: cardinality %d, oracle %d", name, on.Stats.Cardinality, want)
+	}
+	if !matesEqual(on.Matching.MateR, off.Matching.MateR) || !matesEqual(on.Matching.MateC, off.Matching.MateC) {
+		t.Fatalf("%s: pooled and unpooled matchings differ", name)
 	}
 	for r := range on.PerRank {
 		if on.PerRank[r] != off.PerRank[r] {
@@ -78,8 +88,8 @@ func TestPoolingOnOffEquivalenceVariants(t *testing.T) {
 		{"dyn-mindegree", Config{Procs: 4, Init: InitDynMinDegree}},
 		{"rand-root", Config{Procs: 4, AddOp: semiring.RandRoot}},
 		{"rand-parent", Config{Procs: 4, AddOp: semiring.RandParent}},
-		{"graft-permuted", Config{Procs: 4, Init: InitDynMinDegree, TreeGrafting: true, Permute: true, Seed: 4}},
-		{"dir-opt", Config{Procs: 4, Init: InitGreedy, DirectionOptimized: true}},
+		{"graft-permuted", Config{Procs: 4, Init: InitDynMinDegree, Engine: EngineBFSGraft, Permute: true, Seed: 4}},
+		{"dir-opt", Config{Procs: 4, Init: InitGreedy, Direction: DirectionAuto}},
 		{"grid-2x3", Config{GridRows: 2, GridCols: 3, Init: InitDynMinDegree, Permute: true, Seed: 4}},
 		{"grid-1x4", Config{GridRows: 1, GridCols: 4, Init: InitGreedy}},
 	}

@@ -51,6 +51,13 @@ func Solve(a *spmat.CSC, cfg Config) (*Result, error) {
 // A nil tr means the in-process backend hosting all cfg.Procs ranks, which
 // is exactly Solve.
 func SolveOn(tr mpi.Transport, a *spmat.CSC, cfg Config) (*Result, error) {
+	return solveOn(tr, a, cfg, nil)
+}
+
+// solveOn is SolveOn with optional caller-supplied runtime contexts, one per
+// rank (see RunDistributed); the pooling equivalence tests pass
+// pass-through contexts here.
+func solveOn(tr mpi.Transport, a *spmat.CSC, cfg Config, ctxs []*rt.Ctx) (*Result, error) {
 	cfg = cfg.withDefaults()
 	pr, pc, err := cfg.gridShape()
 	if err != nil {
@@ -70,7 +77,7 @@ func SolveOn(tr mpi.Transport, a *spmat.CSC, cfg Config) (*Result, error) {
 	blocks := spmat.Distribute2D(work, pr, pc)
 	blocksT := spmat.Distribute2D(work.Transpose(), pr, pc)
 
-	res, err := runAttemptGrid(tr, pr, pc, work.NRows, work.NCols, blocks, blocksT, cfg, nil)
+	res, err := SolveGrid(tr, pr, pc, work.NRows, work.NCols, blocks, blocksT, cfg, ctxs)
 	if err != nil {
 		return nil, err
 	}
@@ -105,15 +112,17 @@ func SolveEndpoints(eps []mpi.Transport, a *spmat.CSC, cfg Config) ([]*Result, e
 	return results, nil
 }
 
-// runAttemptGrid runs one complete solve attempt on pre-distributed blocks:
-// launch the world (under the configured fault plane and watchdog), restore
-// or initialize the mate vectors, run the MCM phases, gather the result and
-// merge statistics. SolveOn calls it once; SolveRecoverableGrid calls it in
-// a retry loop, setting cfg.Resume between attempts. A nil tr runs on the
-// in-process backend; otherwise fn runs only on tr's locally hosted ranks
-// and the mate vectors are captured on the lowest of them (they are
-// allgathered, so every rank holds the full vectors).
-func runAttemptGrid(tr mpi.Transport, pr, pc, n1, n2 int, blocks, blocksT [][]*spmat.LocalMatrix,
+// SolveGrid runs one complete solve attempt on blocks pre-distributed onto
+// a pr x pc grid: launch the world (under the configured fault plane and
+// watchdog), restore or initialize the mate vectors, run the engine, gather
+// the result and merge statistics. SolveOn and a DistributedGraph session
+// call it once; SolveRecoverableGrid calls it in a retry loop, setting
+// cfg.Resume between attempts. ctxs optionally supplies per-rank runtime
+// contexts (see RunDistributed). A nil tr runs on the in-process backend;
+// otherwise only tr's locally hosted ranks run, and the mate vectors are
+// captured on the lowest of them (they are allgathered, so every rank holds
+// the full vectors).
+func SolveGrid(tr mpi.Transport, pr, pc, n1, n2 int, blocks, blocksT [][]*spmat.LocalMatrix,
 	cfg Config, ctxs []*rt.Ctx) (*Result, error) {
 	// Pin the engine before anything else: the resolution is deterministic
 	// from SPMD-replicated inputs, so every process of a multi-process solve
@@ -139,46 +148,25 @@ func runAttemptGrid(tr mpi.Transport, pr, pc, n1, n2 int, blocks, blocksT [][]*s
 	perRankComm := make([]mpi.CommTimes, cfg.Procs)
 	var mateR, mateC []int64
 
-	w, err := mpi.RunTransport(mpi.RunConfig{Faults: cfg.Fault, WatchdogTimeout: cfg.WatchdogTimeout, Compress: cfg.Compress},
-		tr, func(c *mpi.Comm) error {
-			if cfg.Obs != nil {
-				// Capture the rank's final meter on every exit path — success
-				// or unwind — so shipped observations and flight dumps carry
-				// what the rank had moved when the world ended.
-				defer func() {
-					cfg.Obs.SetRankMeter(c.Rank(), obsMeterPoints(c.MeterSnapshot()))
-				}()
-			}
-			ctx := newRankCtx(c, cfg, ctxs, c.Rank())
-			if ctxs == nil {
-				defer ctx.Close() // fresh context: release the worker pool with the rank
-			}
-			g, err := grid.NewWithRT(c, pr, pc, ctx)
-			if err != nil {
-				return err
-			}
-			s := NewSolver(g, cfg, n1, n2, blocks[g.MyRow][g.MyCol], blocksT[g.MyRow][g.MyCol])
-			mater, matec, err := s.InitOrRestore()
-			if err != nil {
-				return err
-			}
-			if err := s.RunEngine(eng, mater, matec); err != nil {
-				return err
-			}
-
-			fullR := mater.Gather()
-			fullC := matec.Gather()
-			if c.Rank() == localRoot {
-				mateR, mateC = fullR, fullC
-			}
-			perRankStats[c.Rank()] = s.Stats
-			perRankMeter[c.Rank()] = s.gatherMeter()
-			perRankComm[c.Rank()] = c.CommTimes()
-			return nil
-		})
-	if w != nil {
-		cfg.Obs.AddEvents(w.ObsEvents())
-	}
+	err = runWorld(tr, pr, pc, n1, n2, blocks, blocksT, cfg, ctxs, func(s *Solver) error {
+		mater, matec, err := s.InitOrRestore()
+		if err != nil {
+			return err
+		}
+		if err := s.RunEngine(eng, mater, matec); err != nil {
+			return err
+		}
+		fullR := mater.Gather()
+		fullC := matec.Gather()
+		rank := s.G.World.Rank()
+		if rank == localRoot {
+			mateR, mateC = fullR, fullC
+		}
+		perRankStats[rank] = s.Stats
+		perRankMeter[rank] = s.gatherMeter()
+		perRankComm[rank] = s.G.World.CommTimes()
+		return nil
+	})
 	if err != nil {
 		return nil, err
 	}
@@ -239,47 +227,49 @@ func (r *Result) String() string {
 		r.Stats.Iterations, r.Procs, r.Threads)
 }
 
-// RunDistributed launches side*side ranks on a square grid over
-// pre-distributed matrix blocks and invokes fn with each rank's solver.
-// It is the low-level entry point used by benchmarks and by callers that
-// manage mate vectors themselves; Solve wraps it with distribution and
-// result gathering.
-func RunDistributed(side, n1, n2 int, blocks, blocksT [][]*spmat.LocalMatrix,
-	cfg Config, fn func(*Solver) error) error {
-	return RunDistributedGrid(side, side, n1, n2, blocks, blocksT, cfg, fn)
-}
-
-// RunDistributedGrid is RunDistributed for an arbitrary pr x pc grid.
-// Both blocks and blocksT (the transposed matrix) must be distributed as
-// pr x pc.
-func RunDistributedGrid(pr, pc, n1, n2 int, blocks, blocksT [][]*spmat.LocalMatrix,
-	cfg Config, fn func(*Solver) error) error {
-	return RunDistributedGridCtx(pr, pc, n1, n2, blocks, blocksT, cfg, nil, fn)
-}
-
-// RunDistributedGridCtx is RunDistributedGrid with caller-supplied runtime
-// contexts, one per rank (indexed by world rank). A session that solves
-// repeatedly on the same distributed graph passes the same contexts every
-// time, so the arena and scratch warmed up by one solve serve the next. A
-// nil ctxs builds fresh contexts, honoring cfg.DisableReuse.
-func RunDistributedGridCtx(pr, pc, n1, n2 int, blocks, blocksT [][]*spmat.LocalMatrix,
+// RunDistributed launches pr*pc in-process ranks on a pr x pc grid over
+// pre-distributed matrix blocks (blocksT is the transposed matrix,
+// distributed the same way) and invokes fn with each rank's solver. It is
+// the low-level entry point for benchmarks and for callers that manage mate
+// vectors themselves; Solve wraps the same rank setup with distribution and
+// result gathering. ctxs supplies one runtime context per rank (indexed by
+// world rank): a session that solves repeatedly on the same distributed
+// graph passes the same contexts every time, so the arena and scratch
+// warmed up by one solve serve the next. A nil ctxs builds fresh contexts.
+func RunDistributed(pr, pc, n1, n2 int, blocks, blocksT [][]*spmat.LocalMatrix,
 	cfg Config, ctxs []*rt.Ctx, fn func(*Solver) error) error {
-	w, err := mpi.RunWith(mpi.RunConfig{Faults: cfg.Fault, WatchdogTimeout: cfg.WatchdogTimeout, Compress: cfg.Compress},
-		pr*pc, func(c *mpi.Comm) error {
-			ctx := newRankCtx(c, cfg, ctxs, c.Rank())
-			if ctxs == nil {
-				// Fresh context: its worker pool dies with the rank. A caller-
-				// supplied context keeps its pool warm across solves; the caller
-				// releases it (e.g. DistributedGraph.Close).
-				defer ctx.Close()
-			}
-			g, err := grid.NewWithRT(c, pr, pc, ctx)
-			if err != nil {
-				return err
-			}
-			s := NewSolver(g, cfg, n1, n2, blocks[g.MyRow][g.MyCol], blocksT[g.MyRow][g.MyCol])
-			return fn(s)
-		})
+	return runWorld(mpi.NewInproc(pr*pc), pr, pc, n1, n2, blocks, blocksT, cfg, ctxs, fn)
+}
+
+// runWorld runs fn on every rank tr hosts — under the configured fault
+// plane, watchdog, compression and overlap schedule — each with a solver
+// over its own blocks, and forwards the world's observability events.
+func runWorld(tr mpi.Transport, pr, pc, n1, n2 int, blocks, blocksT [][]*spmat.LocalMatrix,
+	cfg Config, ctxs []*rt.Ctx, fn func(*Solver) error) error {
+	rc := mpi.RunConfig{Faults: cfg.Fault, WatchdogTimeout: cfg.WatchdogTimeout,
+		Compress: cfg.Compress, DisableOverlap: cfg.DisableOverlap}
+	w, err := mpi.RunTransport(rc, tr, func(c *mpi.Comm) error {
+		if cfg.Obs != nil {
+			// Capture the rank's final meter on every exit path — success
+			// or unwind — so shipped observations and flight dumps carry
+			// what the rank had moved when the world ended.
+			defer func() {
+				cfg.Obs.SetRankMeter(c.Rank(), obsMeterPoints(c.MeterSnapshot()))
+			}()
+		}
+		ctx := newRankCtx(c, cfg, ctxs, c.Rank())
+		if ctxs == nil {
+			// Fresh context: its worker pool dies with the rank. A caller-
+			// supplied context keeps its pool warm across solves; the caller
+			// releases it (e.g. DistributedGraph.Close).
+			defer ctx.Close()
+		}
+		g, err := grid.NewWithRT(c, pr, pc, ctx)
+		if err != nil {
+			return err
+		}
+		return fn(NewSolver(g, cfg, n1, n2, blocks[g.MyRow][g.MyCol], blocksT[g.MyRow][g.MyCol]))
+	})
 	if w != nil {
 		cfg.Obs.AddEvents(w.ObsEvents())
 	}
@@ -287,19 +277,14 @@ func RunDistributedGridCtx(pr, pc, n1, n2 int, blocks, blocksT [][]*spmat.LocalM
 }
 
 // newRankCtx picks the runtime context for one rank: the caller-supplied
-// one when present, otherwise a fresh context that is enabled or disabled
-// per cfg.DisableReuse.
+// one when present, otherwise a fresh pooling context.
 func newRankCtx(c *mpi.Comm, cfg Config, ctxs []*rt.Ctx, rank int) *rt.Ctx {
 	var ctx *rt.Ctx
-	switch {
-	case ctxs != nil:
+	if ctxs != nil {
 		ctx = ctxs[rank]
-	case cfg.DisableReuse:
-		ctx = rt.NewDisabled(c)
-	default:
+	} else {
 		ctx = rt.New(c)
 	}
-	ctx.SetOverlap(!cfg.DisableOverlap)
 	// Attach (or, for a reused session context, detach) the rank's span
 	// tracer on both the runtime context (op spans via Track) and the comm
 	// (collective/RMA/fault spans inside internal/mpi).

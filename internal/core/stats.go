@@ -42,8 +42,8 @@ type Stats struct {
 	AugmentedPaths        int // total augmenting paths applied
 	InitCardinality       int // matching size after the initializer
 	Cardinality           int // final matching size
-	// Tree-grafting counters (MCMGraft): full resets performed and total
-	// rows released from augmented trees.
+	// Tree-grafting counters (the bfs-graft engine): full resets performed
+	// and total rows released from augmented trees.
 	GraftResets       int
 	GraftReleasedRows int
 	// Checkpoint counters (Config.CheckpointEvery): checkpoints taken,

@@ -107,8 +107,11 @@ func (s *Spec) writeFlightDump(tr mpi.Transport, col *obs.Collector, cause error
 // Version 4 adds the observability plane (the enables from which every
 // process builds the same collector) and the flight-recorder directory — a
 // v3 worker would silently trace nothing and dump nothing, leaving holes in
-// the merged world artifact, hence the bump.
-const Version = 4
+// the merged world artifact, hence the bump. Version 5 drops the legacy
+// graft and direction_optimized knobs (use engine "bfs-graft" and
+// direction "auto"): a v4 spec carrying them is refused rather than solved
+// silently with a different engine or direction.
+const Version = 5
 
 // Spec describes one distributed solve: the graph source (exactly one of
 // RMAT, Matrix or MTX) and the solver options, mirroring cmd/mcm's flags.
@@ -147,23 +150,16 @@ type Spec struct {
 	Augment string `json:"augment,omitempty"`
 	// NoPrune disables tree pruning (the Fig. 8 ablation).
 	NoPrune bool `json:"no_prune,omitempty"`
-	// DirectionOptimized enables the bottom-up BFS direction.
-	DirectionOptimized bool `json:"direction_optimized,omitempty"`
-	// Direction pins or frees the per-iteration SpMV kernel: "push", "pull",
-	// "auto", or "" for the DirectionOptimized-derived default.
+	// Direction pins or frees the per-iteration SpMV kernel: "push" (or
+	// ""), "pull", or "auto".
 	Direction string `json:"direction,omitempty"`
 	// Compress enables the delta-varint wire codec on the solve's
 	// communication layer.
 	Compress bool `json:"compress,omitempty"`
 	// Engine names the matching engine ("bfs", "bfs-ss", "bfs-graft",
-	// "auction", "auto", or "" for the Graft-derived legacy default). Every
-	// process resolves it identically from the spec.
+	// "auction", "auto", or "" for "bfs"). Every process resolves it
+	// identically from the spec.
 	Engine string `json:"engine,omitempty"`
-	// Graft selects the tree-grafting MCM variant.
-	//
-	// Deprecated: set Engine to "bfs-graft"; Graft remains as an alias and
-	// is ignored when Engine is non-empty.
-	Graft bool `json:"graft,omitempty"`
 	// NoPermute skips the load-balancing random permutation.
 	NoPermute bool `json:"no_permute,omitempty"`
 
@@ -358,15 +354,13 @@ func (s *Spec) BuildMatrix() (*spmat.CSC, error) {
 // must derive its config from the same spec so the solve stays SPMD.
 func (s *Spec) CoreConfig() (core.Config, error) {
 	cfg := core.Config{
-		Engine:             s.Engine,
-		Procs:              s.Procs,
-		Threads:            s.Threads,
-		DisablePrune:       s.NoPrune,
-		DirectionOptimized: s.DirectionOptimized,
-		TreeGrafting:       s.Graft,
-		Compress:           s.Compress,
-		Permute:            !s.NoPermute,
-		Seed:               s.Seed,
+		Engine:       s.Engine,
+		Procs:        s.Procs,
+		Threads:      s.Threads,
+		DisablePrune: s.NoPrune,
+		Compress:     s.Compress,
+		Permute:      !s.NoPermute,
+		Seed:         s.Seed,
 	}
 	var err error
 	if cfg.Init, err = initByName(s.Init); err != nil {

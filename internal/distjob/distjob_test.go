@@ -17,8 +17,8 @@ func TestRoundTrip(t *testing.T) {
 		RMAT: "ssca", Scale: 9, EdgeFactor: 8, Seed: 42,
 		Procs: 4, Threads: 6,
 		Init: "karpsipser", Semiring: "randroot", Augment: "level",
-		Engine:  "auction",
-		NoPrune: true, DirectionOptimized: true, Graft: true, NoPermute: true,
+		Engine: "auction", Direction: "auto",
+		NoPrune: true, NoPermute: true,
 	}
 	blob, err := s.Encode()
 	if err != nil {
@@ -46,6 +46,16 @@ func TestDecodeRejects(t *testing.T) {
 	}
 	if _, err := Decode([]byte(`{"v":99,"rmat":"g500","procs":4}`)); err == nil {
 		t.Error("accepted unknown version")
+	}
+	// v4 specs could carry the removed legacy knobs; solving one would
+	// silently run another engine or direction than the coordinator meant.
+	for _, v4 := range []string{
+		`{"v":4,"rmat":"g500","procs":4,"graft":true}`,
+		`{"v":4,"rmat":"g500","procs":4,"direction_optimized":true}`,
+	} {
+		if _, err := Decode([]byte(v4)); err == nil || !strings.Contains(err.Error(), "version 4") {
+			t.Errorf("v4 spec %s not refused by version: %v", v4, err)
+		}
 	}
 	bad := []string{
 		fmt.Sprintf(`{"v":%d,"procs":4}`, Version),                                   // no source
@@ -97,7 +107,8 @@ func TestCoreConfig(t *testing.T) {
 		RMAT: "er", Scale: 5, Seed: 9,
 		Procs: 9, Threads: 2,
 		Init: "greedy", Semiring: "randparent", Augment: "path",
-		NoPrune: true, Graft: true, NoPermute: true,
+		Engine: "bfs-graft", Direction: "pull",
+		NoPrune: true, NoPermute: true,
 	}
 	cfg, err := s.CoreConfig()
 	if err != nil {
@@ -109,7 +120,10 @@ func TestCoreConfig(t *testing.T) {
 	if cfg.Init != core.InitGreedy || cfg.AddOp != semiring.RandParent || cfg.Augment != core.AugmentPathParallel {
 		t.Fatalf("enums: %+v", cfg)
 	}
-	if !cfg.DisablePrune || !cfg.TreeGrafting || cfg.Permute {
+	if cfg.Engine != core.EngineBFSGraft || cfg.Direction != core.DirectionPull {
+		t.Fatalf("engine/direction: %+v", cfg)
+	}
+	if !cfg.DisablePrune || cfg.Permute {
 		t.Fatalf("bools: %+v", cfg)
 	}
 

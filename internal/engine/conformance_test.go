@@ -9,6 +9,7 @@ package engine
 
 import (
 	"fmt"
+	"hash/fnv"
 	"strings"
 	"testing"
 
@@ -111,41 +112,52 @@ func TestEngineConformanceUnderFaults(t *testing.T) {
 	}
 }
 
-// TestBFSEnginesBitIdenticalToLegacyConfig pins the seam refactor: routing a
-// solve through Config.Engine must reproduce the legacy boolean-knob entry
-// points bit for bit — mate vectors, cardinality and iteration counts.
+// TestBFSEnginesBitIdenticalToLegacyConfig pins the removal of the legacy
+// boolean knobs: each fingerprint below was recorded from the legacy
+// spelling named in the case ({}, {DirectionOptimized: true},
+// {TreeGrafting: true}) before the knobs were deleted, and the spelling
+// that replaces it must reproduce it bit for bit — mate vectors,
+// cardinality, phases, iterations and the push/pull split.
 func TestBFSEnginesBitIdenticalToLegacyConfig(t *testing.T) {
 	a := rmat.MustGenerate(rmat.G500, 7, 4, 3)
 	for _, tc := range []struct {
-		name    string
-		legacy  core.Config
-		engined core.Config
+		name string
+		cfg  core.Config
+		want string
 	}{
-		{"bfs", core.Config{Procs: 4, Seed: 2}, core.Config{Engine: core.EngineBFS, Procs: 4, Seed: 2}},
-		{"bfs-do", core.Config{Procs: 4, DirectionOptimized: true, Seed: 2},
-			core.Config{Engine: core.EngineBFS, Procs: 4, DirectionOptimized: true, Seed: 2}},
-		{"bfs-graft", core.Config{Procs: 4, TreeGrafting: true, Seed: 2},
-			core.Config{Engine: core.EngineBFSGraft, Procs: 4, Seed: 2}},
+		{"bfs", core.Config{Procs: 4, Seed: 2},
+			"mates=2049234c9a3f7e1f card=66 phases=5 iters=18 push=18 pull=0"},
+		{"bfs-do", core.Config{Procs: 4, Direction: core.DirectionAuto, Seed: 2},
+			"mates=2049234c9a3f7e1f card=66 phases=5 iters=18 push=15 pull=3"},
+		{"bfs-graft", core.Config{Engine: core.EngineBFSGraft, Procs: 4, Seed: 2},
+			"mates=2049234c9a3f7e1f card=66 phases=5 iters=21 push=21 pull=0"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			want, err := core.Solve(a, tc.legacy)
+			res, err := core.Solve(a, tc.cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
-			got, err := core.Solve(a, tc.engined)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if fmt.Sprint(want.Matching.MateR) != fmt.Sprint(got.Matching.MateR) ||
-				fmt.Sprint(want.Matching.MateC) != fmt.Sprint(got.Matching.MateC) {
-				t.Fatal("engine route diverges from legacy route")
-			}
-			if want.Stats.Iterations != got.Stats.Iterations || want.Stats.Phases != got.Stats.Phases {
-				t.Fatalf("trajectory diverges: legacy %d/%d iters/phases, engine %d/%d",
-					want.Stats.Iterations, want.Stats.Phases, got.Stats.Iterations, got.Stats.Phases)
+			if got := fingerprint(res); got != tc.want {
+				t.Fatalf("fingerprint %s, legacy spelling gave %s", got, tc.want)
 			}
 		})
 	}
+}
+
+// fingerprint digests a solve's trajectory: an FNV-64a hash of both mate
+// vectors plus the SPMD counters.
+func fingerprint(res *core.Result) string {
+	h := fnv.New64a()
+	for _, v := range res.Matching.MateR {
+		fmt.Fprintf(h, "%d,", v)
+	}
+	fmt.Fprint(h, "|")
+	for _, v := range res.Matching.MateC {
+		fmt.Fprintf(h, "%d,", v)
+	}
+	st := res.Stats
+	return fmt.Sprintf("mates=%016x card=%d phases=%d iters=%d push=%d pull=%d",
+		h.Sum64(), st.Cardinality, st.Phases, st.Iterations, st.PushIterations, st.PullIterations)
 }
 
 // TestCrossEngineResumeRefused takes a checkpoint under bfs and asserts the
@@ -188,8 +200,8 @@ func TestAutoEngineResolvesAndSolves(t *testing.T) {
 	}
 }
 
-// TestFacade covers the registry façade: the canonical names are present,
-// aliases parse, and capability flags are visible.
+// TestFacade covers the registry façade: the canonical names are present
+// and parse, other spellings do not, and capability flags are visible.
 func TestFacade(t *testing.T) {
 	names := Names()
 	for _, want := range []string{core.EngineBFS, core.EngineBFSSingleSource, core.EngineBFSGraft, core.EngineAuction} {
@@ -203,11 +215,14 @@ func TestFacade(t *testing.T) {
 			t.Fatalf("engine %q not registered (have %v)", want, names)
 		}
 	}
-	if got, err := Parse("graft"); err != nil || got != core.EngineBFSGraft {
-		t.Fatalf("Parse(graft) = %q, %v", got, err)
+	if got, err := Parse(core.EngineBFSGraft); err != nil || got != core.EngineBFSGraft {
+		t.Fatalf("Parse(bfs-graft) = %q, %v", got, err)
 	}
-	if _, err := Parse("nope"); err == nil {
-		t.Fatal("Parse accepted an unknown engine")
+	// "nope" and the removed legacy aliases are all unknown spellings.
+	for _, bad := range []string{"nope", "graft", "ss", "single-source", "ms-bfs"} {
+		if _, err := Parse(bad); err == nil {
+			t.Fatalf("Parse accepted %q", bad)
+		}
 	}
 	caps, ok := Caps(core.EngineAuction)
 	if !ok || !caps.Checkpointable || caps.Augmenting {

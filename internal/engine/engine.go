@@ -18,8 +18,8 @@ import "mcmdist/internal/core"
 // package imported that is at least bfs, bfs-graft, bfs-ss and auction.
 func Names() []string { return core.EngineNames() }
 
-// Parse canonicalizes an engine spelling (accepting the deprecated aliases)
-// without checking registration; see core.ParseEngine.
+// Parse validates an engine spelling without checking registration; see
+// core.ParseEngine.
 func Parse(s string) (string, error) { return core.ParseEngine(s) }
 
 // Caps returns the capability flags of a registered engine.

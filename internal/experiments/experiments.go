@@ -30,9 +30,9 @@ var Model = costmodel.EdisonMini
 var DefaultThreads = 12
 
 // DisableOverlap, when set (cmd/bench -no-overlap), runs every experiment
-// with the split-phase compute/communication overlap turned off. Results
-// and communication meters are bit-identical either way; only wall clocks
-// and the exposed-communication ledger change.
+// on the blocking schedule (Config.DisableOverlap). Results and
+// communication meters are bit-identical either way; only wall clocks and
+// the exposed-communication ledger change.
 var DisableOverlap = false
 
 // TransportBackend selects the transport the measured solve profile runs
@@ -45,8 +45,8 @@ var DisableOverlap = false
 var TransportBackend = "inproc"
 
 // DefaultDirection pins the measured profile solve's SpMV kernel choice
-// (cmd/bench -direction): DirectionPush, DirectionPull, DirectionAuto, or
-// the zero value to defer to the configuration's historical default.
+// (cmd/bench -direction): DirectionPush (the zero value), DirectionPull or
+// DirectionAuto.
 var DefaultDirection core.Direction
 
 // Compress runs the measured profile solve with the delta-varint wire
@@ -57,7 +57,7 @@ var Compress = false
 
 // Engine pins the measured profile solve's matching engine (cmd/bench
 // -engine): a registry name, "auto" for the cost model's per-instance
-// choice, or "" for the historical default (bfs). See docs/ENGINES.md.
+// choice, or "" for the default (bfs). See docs/ENGINES.md.
 var Engine string
 
 // Run solves the matrix on p ranks with the given options and returns the

@@ -451,13 +451,12 @@ func runAugmentOnly(a *spmat.CSC, init *matching.Matching, procs int, mode core.
 	blocks := spmat.Distribute2D(a, side, side)
 	blocksT := spmat.Distribute2D(a.Transpose(), side, side)
 	stats := make([]*core.Stats, side*side)
-	err := core.RunDistributed(side, a.NRows, a.NCols, blocks, blocksT,
-		core.Config{Procs: side * side, Augment: mode}, func(s *core.Solver) error {
+	err := core.RunDistributed(side, side, a.NRows, a.NCols, blocks, blocksT,
+		core.Config{Procs: side * side, Augment: mode}, nil, func(s *core.Solver) error {
 			mater := denseFromGlobal(s.RowL, init.MateR)
 			matec := denseFromGlobal(s.ColL, init.MateC)
-			s.MCM(mater, matec)
 			stats[s.G.World.Rank()] = s.Stats
-			return nil
+			return s.RunEngineByName(core.EngineBFS, mater, matec)
 		})
 	if err != nil {
 		panic(err)
@@ -506,7 +505,7 @@ func DirectionAblation(w io.Writer, scale, procs int, names []string) []Directio
 		a := suiteMatrix(name, scale)
 		push := run(a, core.Config{Procs: procs, Init: core.InitNone, Permute: true, Seed: 13})
 		opt := run(a, core.Config{Procs: procs, Init: core.InitNone, Permute: true, Seed: 13,
-			DirectionOptimized: true})
+			Direction: core.DirectionAuto})
 		if push.Stats.Cardinality != opt.Stats.Cardinality {
 			panic("direction optimization changed the cardinality")
 		}
@@ -547,7 +546,7 @@ type GraftRow struct {
 }
 
 // GraftAblation measures the distributed tree-grafting extension (the
-// paper's stated future work, implemented in core.MCMGraft): total SpMV
+// paper's stated future work, the "bfs-graft" engine): total SpMV
 // edge traversals of the plain Algorithm 2 versus the grafted variant,
 // starting from a greedy matching so several augmenting phases run.
 func GraftAblation(w io.Writer, scale, procs int, names []string) []GraftRow {
@@ -559,7 +558,7 @@ func GraftAblation(w io.Writer, scale, procs int, names []string) []GraftRow {
 		a := suiteMatrix(name, scale)
 		plain := run(a, core.Config{Procs: procs, Init: core.InitGreedy, Permute: true, Seed: 19})
 		graft := run(a, core.Config{Procs: procs, Init: core.InitGreedy, Permute: true, Seed: 19,
-			TreeGrafting: true})
+			Engine: core.EngineBFSGraft})
 		if plain.Stats.Cardinality != graft.Stats.Cardinality {
 			panic("tree grafting changed the cardinality")
 		}
@@ -675,13 +674,15 @@ func SingleVsMultiSource(w io.Writer, scale, procs int, names []string) []SSMSRo
 		measure := func(single bool) (int, float64) {
 			iters := 0
 			meters := make([]mpi.Meter, side*side)
-			err := core.RunDistributed(side, a.NRows, a.NCols, blocks, blocksT,
-				core.Config{Procs: side * side, Init: core.InitGreedy}, func(s *core.Solver) error {
+			engine := core.EngineBFS
+			if single {
+				engine = core.EngineBFSSingleSource
+			}
+			err := core.RunDistributed(side, side, a.NRows, a.NCols, blocks, blocksT,
+				core.Config{Procs: side * side, Init: core.InitGreedy}, nil, func(s *core.Solver) error {
 					mater, matec := s.MaximalInit()
-					if single {
-						s.MCMSingleSource(mater, matec)
-					} else {
-						s.MCM(mater, matec)
+					if err := s.RunEngineByName(engine, mater, matec); err != nil {
+						return err
 					}
 					r := s.G.World.Rank()
 					meters[r] = s.G.World.MeterSnapshot()

@@ -47,8 +47,8 @@ type SolveProfile struct {
 	InitCardinality int    `json:"init_cardinality"`
 	Phases          int    `json:"phases"`
 	Iterations      int    `json:"iterations"`
-	// Direction is the SpMV kernel policy the solve ran under ("default",
-	// "push", "pull", "auto") and PushIterations/PullIterations how the
+	// Direction is the SpMV kernel policy the solve ran under ("push",
+	// "pull", "auto") and PushIterations/PullIterations how the
 	// iterations actually split; Compress whether the wire codec was on.
 	Direction      string `json:"direction"`
 	PushIterations int    `json:"push_iterations"`

@@ -144,10 +144,6 @@ func collectiveProgram(size int, rows [][]int64) func(c *mpi.Comm) error {
 		out = append(out, c.AllgathervInto([]int64{r + 5}, nil)...)
 		flat := c.AlltoallvFlat(parts, nil)
 		out = append(out, flat...)
-		into, _ := c.AlltoallvInto(parts, nil)
-		for _, part := range into {
-			out = append(out, part...)
-		}
 
 		for _, part := range c.Gatherv(0, []int64{r * 3}) {
 			out = append(out, part...)
@@ -187,7 +183,7 @@ func requestProgram(size int, rows [][]int64) func(c *mpi.Comm) error {
 		out = append(out, breq.Wait()...)
 		out = append(out, areq.Wait())
 
-		greq := c.IAllgatherv([]int64{r * 2, r * 2 + 1})
+		greq := c.IAllgatherv([]int64{r * 2, r*2 + 1})
 		for _, part := range greq.Wait() {
 			out = append(out, part...)
 		}

@@ -60,12 +60,12 @@
 // frames — count their raw size. With compression off WordsEnc stays zero.
 //
 // Each copying collective has a buffer-lending variant for hot paths
-// (AllgathervInto, AlltoallvInto, AlltoallvFlat): the caller lends a
-// destination buffer (typically from an rt arena), received payloads are
-// appended into it, and nothing in the result aliases any rank's send
-// buffer — so both the lent buffer and the send parts can be recycled the
-// moment the call returns. The metering of each variant is identical to its
-// copying counterpart; the copying API remains the reference for tests.
+// (AllgathervInto, AlltoallvFlat): the caller lends a destination buffer
+// (typically from an rt arena), received payloads are appended into it,
+// and nothing in the result aliases any rank's send buffer — so both the
+// lent buffer and the send parts can be recycled the moment the call
+// returns. The metering of each variant is identical to its copying
+// counterpart; the copying API remains the reference for tests.
 package mpi
 
 import (
@@ -212,6 +212,7 @@ type World struct {
 	hasRemote bool   // some ranks live in other processes
 	transport Transport
 	compress  bool        // wire compression: meter WordsEnc, tcp encodes POST payloads
+	blocking  bool        // RunConfig.DisableOverlap: split-phase starts wait for every part
 	meters    []meterCell // indexed by world rank; only local cells ever move
 
 	mu         sync.Mutex
@@ -369,17 +370,32 @@ func (st *commState) collect(m int, gen int64) []any {
 	size := len(st.ranks)
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	for st.arrived[gen] < size {
-		if st.aborted {
-			panic(abortSignal{cause: st.abortErr})
-		}
-		st.cond.Wait()
-	}
+	st.awaitPostedLocked(gen)
 	out := make([]any, size)
 	for s := 0; s < size; s++ {
 		out[s] = st.posted[s][gen][m]
 	}
 	return out
+}
+
+// waitPosted blocks until every member has posted gen, unwinding like
+// collect if the world aborts meanwhile. It backs the blocking mode
+// (RunConfig.DisableOverlap), where a split-phase start returns only once
+// the whole exchange is in.
+func (st *commState) waitPosted(gen int64) {
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	st.awaitPostedLocked(gen)
+}
+
+// awaitPostedLocked is waitPosted with st.mu held.
+func (st *commState) awaitPostedLocked(gen int64) {
+	for st.arrived[gen] < len(st.ranks) {
+		if st.aborted {
+			panic(abortSignal{cause: st.abortErr})
+		}
+		st.cond.Wait()
+	}
 }
 
 // nextArrived blocks until some member whose delivered flag is unset has
@@ -546,8 +562,18 @@ func (c *Comm) rawEnc(words int64) int64 {
 // when metering WordsEnc.
 func (w *World) Compress() bool { return w.compress }
 
-func (c *Comm) addCommTimes(total, exposed time.Duration) {
-	cell := &c.st.world.meters[c.worldRank]
+// addCommTimes records one completed request in the rank's CommTimes
+// ledger: in flight since started, blocked for exposed. On the blocking
+// schedule (RunConfig.DisableOverlap) every part is in before the start
+// returns, so a request is in flight only while the rank is blocked on it
+// and its total is its exposed time.
+func (c *Comm) addCommTimes(started time.Time, exposed time.Duration) {
+	w := c.st.world
+	total := time.Since(started)
+	if w.blocking {
+		total = exposed
+	}
+	cell := &w.meters[c.worldRank]
 	cell.commNs.Add(int64(total))
 	cell.exposedNs.Add(int64(exposed))
 }

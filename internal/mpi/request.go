@@ -36,15 +36,30 @@ type Request struct {
 
 // start posts parts as this communicator's next collective and returns the
 // request handle. It never blocks (beyond the fault plane's injected
-// straggler delay, when one is configured). op labels the collective for
-// watchdog diagnostics and fault injection.
+// straggler delay, when one is configured) unless the world runs the
+// blocking schedule. op labels the collective for watchdog diagnostics and
+// fault injection.
 func (c *Comm) start(op string, parts []any, lending bool, finish func([]any)) *Request {
 	c.enterCollective(op)
 	gen := c.nextGen
 	c.nextGen++
 	r := &Request{c: c, gen: gen, op: op, started: time.Now(), lending: lending, finish: finish}
 	c.st.post(c.member, gen, parts, op)
+	r.exposed = c.awaitIfBlocking(gen)
 	return r
+}
+
+// awaitIfBlocking implements the blocking schedule (RunConfig.DisableOverlap):
+// right after posting gen, wait until every member has posted it too, and
+// return the wait so the caller charges it as exposed time. Without the
+// mode it returns at once.
+func (c *Comm) awaitIfBlocking(gen int64) time.Duration {
+	if !c.st.world.blocking {
+		return 0
+	}
+	begin := time.Now()
+	c.st.waitPosted(gen)
+	return time.Since(begin)
 }
 
 // Wait blocks until the collective completes. Idempotent.
@@ -105,7 +120,7 @@ func (r *Request) advance() {
 // r.mu.
 func (r *Request) complete() {
 	r.done = true
-	r.c.addCommTimes(time.Since(r.started), r.exposed)
+	r.c.addCommTimes(r.started, r.exposed)
 	if tr := r.c.tracer(); tr != nil {
 		tr.EndFlow(obs.KindCollective, r.op, obs.At(r.started), r.gen, obs.FlowID(r.c.st.id, r.gen))
 	}
@@ -142,24 +157,6 @@ func (q *IntsRequest) Wait() []int64 {
 
 // Test polls for completion; once true, Wait returns without blocking.
 func (q *IntsRequest) Test() bool { return q.r.Test() }
-
-// IntoRequest is a split-phase AlltoallvInto: per-source subslices plus the
-// grown backing buffer.
-type IntoRequest struct {
-	r   *Request
-	out [][]int64
-	buf []int64
-}
-
-// Wait blocks until the collective completes and returns the per-source
-// subslices and the grown buffer.
-func (q *IntoRequest) Wait() ([][]int64, []int64) {
-	q.r.Wait()
-	return q.out, q.buf
-}
-
-// Test polls for completion; once true, Wait returns without blocking.
-func (q *IntoRequest) Test() bool { return q.r.Test() }
 
 // ValueRequest is a split-phase collective resolving to a single value
 // (IAllreduce).
@@ -280,35 +277,6 @@ func (c *Comm) IAlltoallv(parts [][]int64) *SlicesRequest {
 	return q
 }
 
-// IAlltoallvInto starts a split-phase buffer-lending personalized
-// all-to-all; result and metering as AlltoallvInto. On completion every
-// peer has finished reading parts, so parts and the buffer may be recycled.
-func (c *Comm) IAlltoallvInto(parts [][]int64, buf []int64) *IntoRequest {
-	anyParts, words, wordsEnc := c.checkParts("AlltoallvInto", parts)
-	size := c.Size()
-	q := &IntoRequest{}
-	q.r = c.start("alltoallv", anyParts, true, func(got []any) {
-		total := 0
-		for s := 0; s < size; s++ {
-			total += len(asInts(got[s]))
-		}
-		if cap(buf)-len(buf) < total {
-			grown := make([]int64, len(buf), len(buf)+total)
-			copy(grown, buf)
-			buf = grown
-		}
-		out := make([][]int64, size)
-		for s := 0; s < size; s++ {
-			start := len(buf)
-			buf = append(buf, asInts(got[s])...)
-			out[s] = buf[start:len(buf):len(buf)]
-		}
-		c.addComm(KindAlltoall, int64(size-1), words, wordsEnc)
-		q.out, q.buf = out, buf
-	})
-	return q
-}
-
 // IAlltoallvFlat starts a split-phase flat personalized all-to-all; result
 // and metering as AlltoallvFlat. On completion parts and the buffer may be
 // recycled.
@@ -400,24 +368,11 @@ type PartsRequest struct {
 // contribution is surfaced by Next as it arrives. Metering (at Finish) is
 // identical to Allgatherv.
 func (c *Comm) IAllgathervParts(data []int64) *PartsRequest {
-	size := c.Size()
-	parts := make([]any, size)
-	for d := 0; d < size; d++ {
+	parts := make([]any, c.Size())
+	for d := range parts {
 		parts[d] = data
 	}
-	c.enterCollective("allgatherv")
-	gen := c.nextGen
-	c.nextGen++
-	pr := &PartsRequest{
-		c: c, gen: gen, op: "allgatherv",
-		delivered: make([]bool, size),
-		kind:      KindAllgather,
-		msgs:      int64(size - 1),
-		recvWords: true,
-		started:   time.Now(),
-	}
-	c.st.post(c.member, gen, parts, "allgatherv")
-	return pr
+	return c.startParts("allgatherv", KindAllgather, parts, 0, 0, true)
 }
 
 // IAlltoallvParts starts a progressive personalized all-to-all: each
@@ -425,25 +380,37 @@ func (c *Comm) IAllgathervParts(data []int64) *PartsRequest {
 // identical to Alltoallv.
 func (c *Comm) IAlltoallvParts(parts [][]int64) *PartsRequest {
 	anyParts, words, wordsEnc := c.checkParts("AlltoallvParts", parts)
+	return c.startParts("alltoallv", KindAlltoall, anyParts, words, wordsEnc, false)
+}
+
+// startParts posts parts as this communicator's next collective and returns
+// the progressive handle. words/wordsEnc seed the meter (the alltoall rule:
+// what this rank sends); recvWords instead accrues them per arrival (the
+// allgather rule: what this rank receives).
+func (c *Comm) startParts(op string, kind CommKind, parts []any, words, wordsEnc int64, recvWords bool) *PartsRequest {
 	size := c.Size()
-	c.enterCollective("alltoallv")
+	c.enterCollective(op)
 	gen := c.nextGen
 	c.nextGen++
 	pr := &PartsRequest{
-		c: c, gen: gen, op: "alltoallv",
+		c: c, gen: gen, op: op,
 		delivered: make([]bool, size),
-		kind:      KindAlltoall,
+		kind:      kind,
 		msgs:      int64(size - 1),
 		words:     words,
 		wordsEnc:  wordsEnc,
+		recvWords: recvWords,
 		started:   time.Now(),
 	}
-	c.st.post(c.member, gen, anyParts, "alltoallv")
+	c.st.post(c.member, gen, parts, op)
+	pr.exposed = c.awaitIfBlocking(gen)
 	return pr
 }
 
 // Next blocks until an undelivered source's payload has arrived and returns
-// (src, payload, true); sources come back in arrival order, not rank order.
+// (src, payload, true); sources come back in arrival order, not rank order
+// (on the blocking schedule everything has arrived at start, so Next never
+// blocks and returns sources in rank order).
 // It returns ok=false once every source has been delivered. The payload
 // aliases the sender's buffer: treat it as read-only and do not retain it
 // past Finish.
@@ -537,7 +504,7 @@ func (pr *PartsRequest) Finish() {
 	pr.c.st.waitConsumed(pr.gen)
 	pr.exposed += time.Since(begin)
 	pr.c.addComm(pr.kind, pr.msgs, pr.words, pr.wordsEnc)
-	pr.c.addCommTimes(time.Since(pr.started), pr.exposed)
+	pr.c.addCommTimes(pr.started, pr.exposed)
 	if tr := pr.c.tracer(); tr != nil {
 		tr.EndFlow(obs.KindCollective, pr.op, obs.At(pr.started), pr.gen, obs.FlowID(pr.c.st.id, pr.gen))
 	}

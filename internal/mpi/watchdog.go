@@ -179,6 +179,14 @@ type RunConfig struct {
 	// backend meters the encoded volume as Meter.WordsEnc (see the package
 	// metering conventions). Results are bit-identical with it on or off.
 	Compress bool
+	// DisableOverlap runs every split-phase collective on the blocking
+	// schedule: a start (IAllreduce, IAllgathervParts, ...) returns only
+	// once every member's part has been posted, so nothing is left in
+	// flight to hide behind the caller's computation and a progressive
+	// Next never blocks. Results and meters are identical either way;
+	// only the exposed share of the CommTimes ledger changes. It is the
+	// overlap ablation.
+	DisableOverlap bool
 }
 
 // Run launches fn on size ranks and waits for all of them. It returns the
@@ -241,6 +249,7 @@ func RunTransport(cfg RunConfig, tr Transport, fn func(c *Comm) error) (*World, 
 		hasRemote:  len(local) < size,
 		transport:  tr,
 		compress:   cfg.Compress,
+		blocking:   cfg.DisableOverlap,
 		meters:     make([]meterCell, size),
 		comms:      make(map[string]*commState),
 		winsByID:   make(map[string]*winState),

@@ -110,9 +110,8 @@ type Options struct {
 	// "bfs-ss" (single-source ablation), "bfs-graft" (tree grafting),
 	// "auction" (the distributed auction solver), or "auto" to let the
 	// online cost model pick per instance from the graph's degree
-	// distribution, density and the run's grid and thread shape. "" defers
-	// to the deprecated TreeGrafting knob, preserving existing behavior.
-	// Stats.Engine reports the engine that actually ran.
+	// distribution, density and the run's grid and thread shape. "" means
+	// "bfs". Stats.Engine reports the engine that actually ran.
 	Engine string
 	// Init selects the maximal-matching initializer. The zero value is
 	// NoInit; the paper's recommended setting is DynamicMindegreeInit.
@@ -125,31 +124,20 @@ type Options struct {
 	// DisablePrune turns off the pruning of satisfied alternating trees
 	// (Algorithm 2, Step 6) — the Fig. 8 ablation.
 	DisablePrune bool
-	// DirectionOptimized enables the bottom-up ("pull") BFS direction for
-	// large frontiers, the optimization the paper lists as future work.
-	DirectionOptimized bool
-	// Direction pins or frees the per-iteration SpMV kernel choice:
-	// "push", "pull", "auto", or "" to defer to DirectionOptimized.
-	// See docs/KERNELS.md.
+	// Direction pins or frees the per-iteration SpMV kernel choice: "push"
+	// (or "", the paper's static top-down schedule), "pull", or "auto" for
+	// the bottom-up ("pull") BFS step on large frontiers, the optimization
+	// the paper lists as future work. See docs/KERNELS.md.
 	Direction string
 	// Compress enables the delta-varint wire codec on the communication
 	// layer (internal/wire): multi-process solves encode id-stream
 	// payloads on the wire and every backend meters the encoded volume.
 	// Results are bit-identical with it on or off.
 	Compress bool
-	// TreeGrafting selects the tree-grafting MCM variant (distributed
-	// MS-BFS-Graft, also listed as future work): alternating trees persist
-	// across phases and only augmented trees release their vertices,
-	// eliminating redundant edge re-traversals.
-	//
-	// Deprecated: set Engine to "bfs-graft" instead; TreeGrafting remains
-	// as an alias and is ignored when Engine is non-empty.
-	TreeGrafting bool
-	// DisableOverlap turns off the split-phase compute/communication
-	// overlap: every collective runs in blocking form and the solver's
-	// pipelined frontier count reverts to a loop-top allreduce. Results
-	// and communication meters are bit-identical either way; only wall
-	// clocks and the Stats.CommTimeByOp exposed times change.
+	// DisableOverlap runs every collective on the blocking schedule: no
+	// communication hides behind computation. Results and communication
+	// meters are bit-identical either way; only wall clocks and the
+	// Stats.CommTimeByOp exposed times change.
 	DisableOverlap bool
 	// Permute randomly permutes rows and columns before distribution for
 	// load balance (Section IV-A).
@@ -167,20 +155,26 @@ type Options struct {
 	Observe *Observe
 }
 
-func (o Options) toConfig() core.Config {
+// toConfig maps the options onto a core configuration, rejecting unknown
+// Engine and Direction spellings.
+func (o Options) toConfig() (core.Config, error) {
 	cfg := core.Config{
-		Engine:             o.Engine,
-		Procs:              o.Procs,
-		GridRows:           o.GridRows,
-		GridCols:           o.GridCols,
-		Threads:            o.Threads,
-		DisablePrune:       o.DisablePrune,
-		DirectionOptimized: o.DirectionOptimized,
-		TreeGrafting:       o.TreeGrafting,
-		Compress:           o.Compress,
-		DisableOverlap:     o.DisableOverlap,
-		Permute:            o.Permute,
-		Seed:               o.Seed,
+		Procs:          o.Procs,
+		GridRows:       o.GridRows,
+		GridCols:       o.GridCols,
+		Threads:        o.Threads,
+		DisablePrune:   o.DisablePrune,
+		Compress:       o.Compress,
+		DisableOverlap: o.DisableOverlap,
+		Permute:        o.Permute,
+		Seed:           o.Seed,
+	}
+	var err error
+	if cfg.Engine, err = core.ParseEngine(o.Engine); err != nil {
+		return cfg, err
+	}
+	if cfg.Direction, err = core.ParseDirection(o.Direction); err != nil {
+		return cfg, err
 	}
 	switch o.Init {
 	case GreedyInit:
@@ -208,7 +202,6 @@ func (o Options) toConfig() core.Config {
 	default:
 		cfg.Augment = core.AugmentAuto
 	}
-	cfg.Direction, _ = core.ParseDirection(o.Direction)
 	if o.Trace != nil {
 		trace := o.Trace
 		cfg.OnIteration = func(ii core.IterInfo) {
@@ -220,7 +213,7 @@ func (o Options) toConfig() core.Config {
 				ii.Phase, ii.Iteration, ii.FrontierSize, ii.NewPaths, dir)
 		}
 	}
-	return cfg
+	return cfg, nil
 }
 
 // CommStats counts one rank's communication and local work: messages
@@ -348,13 +341,10 @@ func (st *Stats) ModeledBreakdown(mm MachineModel) map[string]float64 {
 // distributed MCM-DIST algorithm on opts.Procs simulated ranks.
 func MaximumMatching(g *Graph, opts Options) (m *Matching, st *Stats, err error) {
 	defer guard(&err)
-	if _, perr := core.ParseDirection(opts.Direction); perr != nil {
-		return nil, nil, perr
+	cfg, err := opts.toConfig()
+	if err != nil {
+		return nil, nil, err
 	}
-	if _, perr := core.ParseEngine(opts.Engine); perr != nil {
-		return nil, nil, perr
-	}
-	cfg := opts.toConfig()
 	procs := opts.Procs
 	if opts.GridRows > 0 && opts.GridCols > 0 {
 		procs = opts.GridRows * opts.GridCols

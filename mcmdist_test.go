@@ -251,7 +251,7 @@ func TestDirectionOptimizedPublicAPI(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	opt, st, err := MaximumMatching(g, Options{Procs: 4, DirectionOptimized: true})
+	opt, st, err := MaximumMatching(g, Options{Procs: 4, Direction: "auto"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -333,7 +333,7 @@ func TestTreeGraftingPublicAPI(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	graft, _, err := MaximumMatching(g, Options{Procs: 4, Init: GreedyInit, TreeGrafting: true})
+	graft, _, err := MaximumMatching(g, Options{Procs: 4, Init: GreedyInit, Engine: "bfs-graft"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -453,8 +453,8 @@ func TestSoakAllVariantsAgree(t *testing.T) {
 		want := oracle.Cardinality()
 		for _, opt := range []Options{
 			{Procs: 9, Init: DynamicMindegreeInit, Permute: true},
-			{Procs: 16, Init: GreedyInit, TreeGrafting: true},
-			{Procs: 4, Init: KarpSipserInit, DirectionOptimized: true},
+			{Procs: 16, Init: GreedyInit, Engine: "bfs-graft"},
+			{Procs: 4, Init: KarpSipserInit, Direction: "auto"},
 			{Procs: 16, Init: NoInit, Semiring: RandRoot, Augment: LevelParallel},
 		} {
 			m, _, err := MaximumMatching(g, opt)

@@ -88,48 +88,20 @@ func (dg *DistributedGraph) Graph() *Graph { return dg.g }
 func (dg *DistributedGraph) MaximumMatching(opts Options) (m *Matching, st *Stats, err error) {
 	defer guard(&err)
 	opts.Procs = dg.procs
-	cfg := opts.toConfig()
-	// Resolve the engine (legacy knobs, "auto" via the cost model) once,
-	// against the cached distribution, so every rank runs the same concrete
-	// engine and Stats/checkpoints name it.
-	cfg, err = core.ResolveEngineConfig(cfg, dg.g.Rows(), dg.g.Cols(), dg.blocks)
+	cfg, err := opts.toConfig()
 	if err != nil {
 		return nil, nil, err
 	}
 	col := opts.Observe.collector(dg.procs)
 	opts.Observe.live(col)
 	cfg.Obs = col
-
-	perRankStats := make([]*core.Stats, dg.procs)
-	perRankMeter := make([]mpi.Meter, dg.procs)
-	var mateR, mateC []int64
-	err = core.RunDistributedGridCtx(dg.side, dg.side, dg.g.Rows(), dg.g.Cols(), dg.blocks, dg.blocksT,
-		cfg, dg.ctxs, func(s *core.Solver) error {
-			mater, matec := s.MaximalInit()
-			if err := s.RunEngineByName(cfg.Engine, mater, matec); err != nil {
-				return err
-			}
-			fullR := mater.Gather()
-			fullC := matec.Gather()
-			if s.G.World.Rank() == 0 {
-				mateR, mateC = fullR, fullC
-			}
-			perRankStats[s.G.World.Rank()] = s.Stats
-			perRankMeter[s.G.World.Rank()] = s.G.World.MeterSnapshot()
-			return nil
-		})
+	res, err := core.SolveGrid(nil, dg.side, dg.side, dg.g.Rows(), dg.g.Cols(), dg.blocks, dg.blocksT, cfg, dg.ctxs)
 	if err != nil {
 		return nil, nil, err
 	}
-
-	merged := perRankStats[0]
-	for _, cs := range perRankStats[1:] {
-		merged.MergeMax(cs)
-	}
-	m = &Matching{MateR: mateR, MateC: mateC}
-	st = statsFromCore(merged, perRankMeter, dg.procs, cfg.Threads)
+	st = statsFromCore(res.Stats, res.PerRank, res.Procs, res.Threads)
 	st.Obs = newObsReport(col)
-	return m, st, nil
+	return fromInternal(res.Matching), st, nil
 }
 
 // MaximalMatchingDistributed runs only the distributed maximal-matching
@@ -138,7 +110,10 @@ func (dg *DistributedGraph) MaximumMatching(opts Options) (m *Matching, st *Stat
 func (dg *DistributedGraph) MaximalMatchingDistributed(init Initializer, threads int) (m *Matching, st *Stats, err error) {
 	defer guard(&err)
 	opts := Options{Procs: dg.procs, Threads: threads, Init: init}
-	cfg := opts.toConfig()
+	cfg, err := opts.toConfig()
+	if err != nil {
+		return nil, nil, err
+	}
 	if cfg.Init == core.InitNone {
 		return nil, nil, fmt.Errorf("mcmdist: maximal matching needs an initializer other than NoInit")
 	}
@@ -146,7 +121,7 @@ func (dg *DistributedGraph) MaximalMatchingDistributed(init Initializer, threads
 	perRankStats := make([]*core.Stats, dg.procs)
 	perRankMeter := make([]mpi.Meter, dg.procs)
 	var mateR, mateC []int64
-	err = core.RunDistributedGridCtx(dg.side, dg.side, dg.g.Rows(), dg.g.Cols(), dg.blocks, dg.blocksT,
+	err = core.RunDistributed(dg.side, dg.side, dg.g.Rows(), dg.g.Cols(), dg.blocks, dg.blocksT,
 		cfg, dg.ctxs, func(s *core.Solver) error {
 			mater, matec := s.MaximalInit()
 			fullR := mater.Gather()

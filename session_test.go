@@ -17,7 +17,7 @@ func TestDistributedGraphReuse(t *testing.T) {
 	// Several solves over the same distribution, varied configurations.
 	for _, opts := range []Options{
 		{Init: DynamicMindegreeInit},
-		{Init: GreedyInit, TreeGrafting: true},
+		{Init: GreedyInit, Engine: "bfs-graft"},
 		{Init: NoInit, Semiring: RandRoot},
 	} {
 		m, st, err := dg.MaximumMatching(opts)
@@ -32,6 +32,29 @@ func TestDistributedGraphReuse(t *testing.T) {
 		}
 		if st.Procs != 4 || len(st.PerRank) != 4 {
 			t.Fatalf("stats plumbing wrong: %+v", st)
+		}
+	}
+}
+
+// TestSessionRejectsBadSpellings: session and one-shot solves both refuse
+// unknown Direction and Engine spellings, the removed legacy ones included,
+// instead of silently solving with the default.
+func TestSessionRejectsBadSpellings(t *testing.T) {
+	g := mustRMAT(t, ER, 5, 4, 1)
+	dg, err := Distribute(g, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, opts := range []Options{
+		{Direction: "sideways"}, {Direction: "default"},
+		{Engine: "graft"}, {Engine: "ss"}, {Engine: "single-source"}, {Engine: "ms-bfs"},
+	} {
+		if _, _, err := dg.MaximumMatching(opts); err == nil {
+			t.Errorf("session accepted %+v", opts)
+		}
+		opts.Procs = 4
+		if _, _, err := MaximumMatching(g, opts); err == nil {
+			t.Errorf("MaximumMatching accepted %+v", opts)
 		}
 	}
 }
