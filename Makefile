@@ -37,8 +37,9 @@ soak:
 # the MCMNET1 frame reader and per-frame body decoders (now including
 # PING/PONG/OBS), the POST delivery shape, the delta-varint codec, and the
 # observation-shipping / flight-dump codecs whose decoders face network and
-# crash-recovered bytes. Go allows one -fuzz pattern per invocation, so
-# each target gets its own run; FUZZTIME scales the pass.
+# crash-recovered bytes; plus the 2D block distribution, checked against a
+# reference build of every block. Go allows one -fuzz pattern per
+# invocation, so each target gets its own run; FUZZTIME scales the pass.
 FUZZTIME ?= 10s
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzReadFrame$$' -fuzztime $(FUZZTIME) ./internal/mpi/tcpnet/
@@ -46,6 +47,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodePostDelivery$$' -fuzztime $(FUZZTIME) ./internal/mpi/tcpnet/
 	$(GO) test -run '^$$' -fuzz '^FuzzDecode$$' -fuzztime $(FUZZTIME) ./internal/wire/
 	$(GO) test -run '^$$' -fuzz '^FuzzObsDecode$$' -fuzztime $(FUZZTIME) ./internal/obs/
+	$(GO) test -run '^$$' -fuzz '^FuzzDistribute2D$$' -fuzztime $(FUZZTIME) ./internal/spmat/
 
 # Cross-process chaos smoke: a supervised 4-process TCP solve whose rank-2
 # worker is SIGKILLed mid-solve; the world must restart, a replacement

@@ -115,17 +115,12 @@ func main() {
 		os.Exit(1)
 	}
 	if *cpuProfile != "" {
-		f, err := os.Create(*cpuProfile)
+		stop, err := obs.StartCPUProfile(*cpuProfile)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "bench: %v\n", err)
 			os.Exit(1)
 		}
-		defer f.Close()
-		if err := pprof.StartCPUProfile(f); err != nil {
-			fmt.Fprintf(os.Stderr, "bench: %v\n", err)
-			os.Exit(1)
-		}
-		defer pprof.StopCPUProfile()
+		defer stop()
 	}
 
 	w := os.Stdout

@@ -19,6 +19,8 @@
 // at solve end and the coordinator aligns and merges them. -flight-dir arms
 // the crash flight recorder — a failed generation leaves
 // flight-g<gen>-r<rank>.dump post-mortems there (decode with cmd/tracelint).
+// -cpuprofile writes a pprof CPU profile of this process; give each process
+// of a tcp world (cmd/mcmrank takes the same flag) its own path.
 //
 // Examples:
 //
@@ -88,6 +90,7 @@ func main() {
 	recoverFlag := flag.Bool("recover", false, "tcp transport: supervise the world across failures — restart it up to -max-restarts times, resuming from the last checkpoint")
 	maxRestarts := flag.Int("max-restarts", 3, "tcp transport: world restarts before giving up (with -recover)")
 	ckptEvery := flag.Int("checkpoint-every", 1, "tcp transport: checkpoint every Nth phase (with -recover); 0 restarts from scratch")
+	cpuProfile := flag.String("cpuprofile", "", "write a pprof CPU profile of this process to this path (written when the process exits normally)")
 	flag.Parse()
 
 	if *list {
@@ -115,6 +118,13 @@ func main() {
 	}
 	if *flightDir != "" && *transport != "tcp" {
 		log.Fatal("-flight-dir requires -transport tcp (the flight recorder captures multi-process failures)")
+	}
+	if *cpuProfile != "" {
+		stop, err := obs.StartCPUProfile(*cpuProfile)
+		if err != nil {
+			log.Fatal(err)
+		}
+		defer stop()
 	}
 	if *transport == "tcp" && *rank > 0 {
 		// Worker mode: the coordinator ships the job spec, so every graph

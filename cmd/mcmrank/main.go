@@ -9,6 +9,9 @@
 // like mcm does, which is how the transport smoke test cross-checks the
 // backends.
 //
+// -cpuprofile writes a pprof CPU profile of this worker process, so each
+// process of a tcp world can be profiled (see docs/OBSERVABILITY.md).
+//
 // Example (one coordinator plus three workers, any order):
 //
 //	mcm -rmat g500 -scale 10 -procs 4 -transport tcp -addr 127.0.0.1:9301 &
@@ -28,6 +31,7 @@ import (
 	"mcmdist/internal/matching"
 	"mcmdist/internal/mpi"
 	"mcmdist/internal/mpi/tcpnet"
+	"mcmdist/internal/obs"
 	"mcmdist/internal/semiring"
 )
 
@@ -43,10 +47,18 @@ func main() {
 	slowDelay := flag.Duration("slow-delay", 2*time.Millisecond, "chaos testing: per-frame delay for -slow-to")
 	dropTo := flag.Int("drop-to", -1, "chaos testing: sever the link to this rank at the -drop-at-th outbound data frame")
 	dropAt := flag.Int("drop-at", 5, "chaos testing: 1-based data frame whose send severs the -drop-to link")
+	cpuProfile := flag.String("cpuprofile", "", "write a pprof CPU profile of this process to this path (written when the process exits normally)")
 	flag.Parse()
 
 	if *addr == "" || *rank < 1 {
 		log.Fatal("mcmrank: -addr and -rank (>= 1) are required; rank 0 is the coordinator (mcm -transport tcp)")
+	}
+	if *cpuProfile != "" {
+		stop, err := obs.StartCPUProfile(*cpuProfile)
+		if err != nil {
+			log.Fatal(err)
+		}
+		defer stop()
 	}
 	log.SetPrefix(fmt.Sprintf("mcmrank[%d]: ", *rank))
 	say := func(format string, args ...any) {

@@ -23,6 +23,7 @@ func FromEdges(nrows, ncols int, edges [][2]int) (*Graph, error) {
 		return nil, fmt.Errorf("mcmdist: negative dimensions %dx%d", nrows, ncols)
 	}
 	coo := spmat.NewCOO(nrows, ncols)
+	coo.Entries = make([]spmat.Triple, 0, len(edges))
 	for _, e := range edges {
 		if e[0] < 0 || e[0] >= nrows || e[1] < 0 || e[1] >= ncols {
 			return nil, fmt.Errorf("mcmdist: edge (%d,%d) outside %dx%d", e[0], e[1], nrows, ncols)

@@ -71,36 +71,76 @@ type LocalMatrix struct {
 // Distribute2D splits the global matrix into pr x pc local matrices.
 // Element (i, j) of the result is the block owned by grid process (i, j):
 // global rows in rowBlocks[i], global columns in colBlocks[j].
+//
+// Each block's DCSC is built straight from a's columns in two passes over
+// each column slab: a count pass sizes every block's JC/CP/IR exactly, and
+// a fill pass writes them. Rows within a column are sorted, so a column
+// splits into at most pr runs, one per row block, found by advancing the
+// row block monotonically.
 func Distribute2D(a *CSC, pr, pc int) [][]*LocalMatrix {
 	rowBlocks := SplitRange(a.NRows, pr)
 	colBlocks := SplitRange(a.NCols, pc)
 
-	coos := make([][]*COO, pr)
-	for i := range coos {
-		coos[i] = make([]*COO, pc)
-		for j := range coos[i] {
-			coos[i][j] = NewCOO(rowBlocks[i].Len(), colBlocks[j].Len())
-		}
-	}
-	for j := 0; j < a.NCols; j++ {
-		pj := OwnerOf(a.NCols, pc, j)
-		lj := j - colBlocks[pj].Lo
-		for _, i := range a.Col(j) {
-			pi := OwnerOf(a.NRows, pr, i)
-			coos[pi][pj].Add(i-rowBlocks[pi].Lo, lj)
-		}
-	}
-
 	out := make([][]*LocalMatrix, pr)
 	for i := range out {
 		out[i] = make([]*LocalMatrix, pc)
-		for j := range out[i] {
-			out[i][j] = &LocalMatrix{
-				Rows: rowBlocks[i],
-				Cols: colBlocks[j],
-				M:    coos[i][j].ToCSC().ToDCSC(),
+	}
+	nnz, nzc := make([]int, pr), make([]int, pr)
+	jc, cp, ir := make([][]int, pr), make([][]int, pr), make([][]int, pr)
+	for pj, cb := range colBlocks {
+		clear(nnz)
+		clear(nzc)
+		for j := cb.Lo; j < cb.Hi; j++ {
+			col := a.Col(j)
+			for s, pi := 0, 0; s < len(col); {
+				var e int
+				pi, e = nextRun(col, s, pi, rowBlocks)
+				nnz[pi] += e - s
+				nzc[pi]++
+				s = e
+			}
+		}
+		for pi := range rowBlocks {
+			jc[pi] = make([]int, 0, nzc[pi])
+			cp[pi] = append(make([]int, 0, nzc[pi]+1), 0)
+			ir[pi] = make([]int, 0, nnz[pi])
+		}
+		for j := cb.Lo; j < cb.Hi; j++ {
+			col := a.Col(j)
+			for s, pi := 0, 0; s < len(col); {
+				var e int
+				pi, e = nextRun(col, s, pi, rowBlocks)
+				lo, rows := rowBlocks[pi].Lo, ir[pi]
+				for _, r := range col[s:e] {
+					rows = append(rows, r-lo)
+				}
+				ir[pi] = rows
+				jc[pi] = append(jc[pi], j-cb.Lo)
+				cp[pi] = append(cp[pi], len(rows))
+				s = e
+			}
+		}
+		for pi, rb := range rowBlocks {
+			out[pi][pj] = &LocalMatrix{
+				Rows: rb,
+				Cols: cb,
+				M:    newDCSC(rb.Len(), cb.Len(), jc[pi], cp[pi], ir[pi]),
 			}
 		}
 	}
 	return out
+}
+
+// nextRun returns the row block of col[s] — searching forward from block
+// pi, which must not lie past it — and the end e of the run col[s:e] of
+// entries in that block.
+func nextRun(col []int, s, pi int, rowBlocks []Block) (int, int) {
+	for col[s] >= rowBlocks[pi].Hi {
+		pi++
+	}
+	hi, e := rowBlocks[pi].Hi, s+1
+	for e < len(col) && col[e] < hi {
+		e++
+	}
+	return pi, e
 }

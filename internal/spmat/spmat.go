@@ -12,6 +12,7 @@ package spmat
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 )
 
@@ -57,34 +58,45 @@ type CSC struct {
 	RowIdx       []int
 }
 
-// ToCSC sorts, deduplicates and compresses the COO matrix into CSC form.
+// ToCSC sorts, deduplicates and compresses the COO matrix into CSC form:
+// a counting pass buckets the entries by column, then each column's rows
+// are sorted and deduplicated in place.
 func (c *COO) ToCSC() *CSC {
-	ent := make([]Triple, len(c.Entries))
-	copy(ent, c.Entries)
-	sort.Slice(ent, func(a, b int) bool {
-		if ent[a].Col != ent[b].Col {
-			return ent[a].Col < ent[b].Col
-		}
-		return ent[a].Row < ent[b].Row
-	})
 	m := &CSC{
 		NRows:  c.NRows,
 		NCols:  c.NCols,
 		ColPtr: make([]int, c.NCols+1),
-		RowIdx: make([]int, 0, len(ent)),
+		RowIdx: make([]int, len(c.Entries)),
 	}
-	prevRow, prevCol := -1, -1
-	for _, e := range ent {
-		if e.Col == prevCol && e.Row == prevRow {
-			continue // duplicate
-		}
-		m.RowIdx = append(m.RowIdx, e.Row)
+	for _, e := range c.Entries {
 		m.ColPtr[e.Col+1]++
-		prevRow, prevCol = e.Row, e.Col
 	}
 	for j := 0; j < c.NCols; j++ {
 		m.ColPtr[j+1] += m.ColPtr[j]
 	}
+	next := make([]int, c.NCols)
+	copy(next, m.ColPtr[:c.NCols])
+	for _, e := range c.Entries {
+		m.RowIdx[next[e.Col]] = e.Row
+		next[e.Col]++
+	}
+	// Compact column by column: the write cursor w never passes the start
+	// of the column being read, so the dedup can run in place.
+	w := 0
+	for j := 0; j < c.NCols; j++ {
+		col := m.RowIdx[m.ColPtr[j]:m.ColPtr[j+1]]
+		slices.Sort(col)
+		m.ColPtr[j] = w
+		for k, r := range col {
+			if k > 0 && r == col[k-1] {
+				continue // duplicate
+			}
+			m.RowIdx[w] = r
+			w++
+		}
+	}
+	m.ColPtr[c.NCols] = w
+	m.RowIdx = m.RowIdx[:w]
 	return m
 }
 
