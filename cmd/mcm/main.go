@@ -46,6 +46,7 @@ import (
 	"time"
 
 	"mcmdist"
+	"mcmdist/internal/core"
 	"mcmdist/internal/distjob"
 	"mcmdist/internal/matching"
 	"mcmdist/internal/mpi/tcpnet"
@@ -309,7 +310,7 @@ func main() {
 // worlds from the last phase-boundary checkpoint (see internal/distjob).
 func runSupervisor(addr string, spec *distjob.Spec, maxRestarts, ckptEvery int, verifyFlag bool, out string, oo obsOutputs) {
 	spec.CheckpointEvery = ckptEvery
-	pol := distjob.SupervisePolicy{MaxRestarts: maxRestarts, Log: log.Printf}
+	pol := distjob.SupervisePolicy{RecoveryPolicy: core.RecoveryPolicy{MaxRetries: maxRestarts}, Log: log.Printf}
 	fmt.Printf("supervising %d-rank tcp world at %s (waiting for %d workers, up to %d restarts)\n",
 		spec.Procs, addr, spec.Procs-1, maxRestarts)
 	res, stats, err := distjob.Supervise(addr, spec, tcpnet.Options{}, pol)
@@ -321,8 +322,8 @@ func runSupervisor(addr string, spec *distjob.Spec, maxRestarts, ckptEvery int, 
 		log.Fatal(err)
 	}
 	fmt.Printf("|M| = %d after %d generation(s), %d restart(s)",
-		res.Stats.Cardinality, stats.Generations, stats.Restarts)
-	if stats.Restarts > 0 {
+		res.Stats.Cardinality, stats.Attempts, stats.Retries)
+	if stats.Retries > 0 {
 		fmt.Printf(" (resumed from phase %d)", stats.ResumedPhase)
 	}
 	fmt.Println()

@@ -1,14 +1,12 @@
 package core
 
 import (
-	"errors"
 	"fmt"
-	"sync"
+	"slices"
 	"time"
 
 	"mcmdist/internal/matching"
 	"mcmdist/internal/mpi"
-	"mcmdist/internal/rmat"
 	"mcmdist/internal/rt"
 	"mcmdist/internal/spmat"
 	"mcmdist/internal/verify"
@@ -23,20 +21,12 @@ type RecoveryPolicy struct {
 	// doubles it up to MaxBackoff. Zero means 5ms (capped at 500ms).
 	Backoff    time.Duration
 	MaxBackoff time.Duration
-	// DisableVerify skips the validity check on restored checkpoints.
-	// Verification is the safety net that keeps a corrupted snapshot from
-	// silently poisoning the restarted solve; leave it on outside of tests.
-	DisableVerify bool
 	// Worlds provisions the transport endpoints for attempt generation gen
-	// (0 for the first attempt, 1 for the first retry, ...). Nil keeps the
-	// historical in-process behavior: a fresh inproc world per attempt.
-	// When set, the retry engine runs every returned endpoint concurrently
-	// in this process — the loopback form of a multi-process deployment —
-	// taking the result from the endpoint hosting rank 0 and Closing every
-	// endpoint when the attempt ends, success or failure. (A solve that
-	// actually spans OS processes restarts through distjob.Supervise, which
-	// re-runs rendezvous per generation; this hook is the same engine
-	// exercised in one process.)
+	// (0 first). Nil gives each attempt a fresh inproc world; otherwise
+	// SolveRecoverableGrid solves every endpoint concurrently in this
+	// process, takes the result from the one hosting rank 0, and Closes
+	// each when its solve returns. distjob.Supervise, the cross-process
+	// caller of Recover, provisions by rendezvous and leaves it nil.
 	Worlds func(gen int) ([]mpi.Transport, error)
 }
 
@@ -53,7 +43,7 @@ func (p RecoveryPolicy) withDefaults() RecoveryPolicy {
 	return p
 }
 
-// RecoveryStats reports what the retry engine did: attempts run, retries
+// RecoveryStats reports what the retry loop did: attempts run, retries
 // (attempts minus one, unless the first try succeeded), checkpoints taken
 // across all attempts with their encoded volume, the wall time the
 // successful attempt spent checkpointing, and the phase the final attempt
@@ -69,50 +59,94 @@ type RecoveryStats struct {
 	Errors []error
 }
 
-// SolveRecoverable is Solve with checkpoint/restart: it runs the solve under
-// the configured fault plane and, when an attempt dies (injected fault,
-// genuine panic, watchdog abort), restarts it from the last phase-boundary
-// checkpoint with exponential backoff, up to pol.MaxRetries times. Restored
-// checkpoints are verified to encode a valid matching of a before resuming
-// (unless pol.DisableVerify). cfg.CheckpointEvery should be positive; with
-// checkpointing disabled the retry simply restarts from scratch.
+// Recover is the one generation loop of every recoverable solve, in-process
+// or spanning OS processes. attempt runs generation gen on a fresh world,
+// from resume when it is non-nil, handing every checkpoint it takes to
+// keep; every keep call must happen before attempt returns (a finished
+// world orders rank 0's calls). A failure that mpi.Restartable accepts is
+// retried after a doubling backoff, from the freshest kept checkpoint once
+// check accepts it; any other failure, an exhausted MaxRetries or a
+// rejected checkpoint ends the loop. The stats are returned on every path.
+func Recover(pol RecoveryPolicy, check func(*Checkpoint) error,
+	attempt func(gen int, resume *Checkpoint, keep func(*Checkpoint)) (*Result, error)) (*Result, *RecoveryStats, error) {
+	pol = pol.withDefaults()
+	rec := &RecoveryStats{}
+	var last, resume *Checkpoint
+	keep := func(ck *Checkpoint) {
+		last = ck
+		rec.Checkpoints++
+		rec.CheckpointBytes += int64(ck.EncodedSize())
+	}
+	backoff := pol.Backoff
+	for gen := 0; ; gen++ {
+		rec.Attempts++
+		res, err := attempt(gen, resume, keep)
+		if err == nil {
+			rec.CheckpointWall = res.Stats.CheckpointWall
+			return res, rec, nil
+		}
+		rec.Errors = append(rec.Errors, err)
+		if !mpi.Restartable(err) {
+			return nil, rec, fmt.Errorf("core: attempt %d failed terminally: %w", rec.Attempts, err)
+		}
+		if rec.Retries >= pol.MaxRetries {
+			return nil, rec, fmt.Errorf("core: solve failed after %d attempts: %w", rec.Attempts, err)
+		}
+		if last != nil {
+			if verr := check(last); verr != nil {
+				return nil, rec, fmt.Errorf("core: cannot restart, checkpoint rejected: %w (attempt failed with %v)", verr, err)
+			}
+			resume = last
+			rec.ResumedPhase = last.Phase
+		}
+		rec.Retries++
+		time.Sleep(backoff)
+		backoff = min(2*backoff, pol.MaxBackoff)
+	}
+}
+
+// SolveRecoverable is Solve with checkpoint/restart (see Recover): a faulted
+// attempt restarts from the last phase-boundary checkpoint, verified to
+// encode a valid matching of a. cfg.CheckpointEvery should be positive;
+// with checkpointing disabled a retry restarts from scratch.
 func SolveRecoverable(a *spmat.CSC, cfg Config, pol RecoveryPolicy) (*Result, *RecoveryStats, error) {
-	cfg = cfg.withDefaults()
-	pr, pc, err := cfg.gridShape()
+	// Permute once, outside the retry loop, so every attempt (and every
+	// checkpoint) lives in one consistent permuted index space.
+	l, cfg, err := newLayout(a, cfg)
 	if err != nil {
 		return nil, nil, err
 	}
-	cfg.Procs = pr * pc
-
-	// Permute once, outside the retry loop, so every attempt (and every
-	// checkpoint) lives in one consistent permuted index space.
-	work := a
-	var rowPerm, colPerm []int
-	if cfg.Permute {
-		rowPerm = rmat.RandomPermutation(a.NRows, cfg.Seed*2+1)
-		colPerm = rmat.RandomPermutation(a.NCols, cfg.Seed*2+2)
-		work = a.Permute(rowPerm, colPerm)
-	}
-	blocks := spmat.Distribute2D(work, pr, pc)
-	blocksT := spmat.Distribute2D(work.Transpose(), pr, pc)
-
-	res, rec, err := SolveRecoverableGrid(work, pr, pc, work.NRows, work.NCols, blocks, blocksT, cfg, nil, pol)
+	res, rec, err := SolveRecoverableGrid(l.work, l.pr, l.pc, l.work.NRows, l.work.NCols, l.blocks, l.blocksT, cfg, nil, pol)
 	if err != nil {
 		return nil, rec, err
 	}
-	if cfg.Permute {
-		res.Matching = unpermute(res.Matching, rowPerm, colPerm)
-	}
+	res.Matching = l.restore(res.Matching)
 	return res, rec, nil
 }
 
-// SolveRecoverableGrid is the retry engine behind SolveRecoverable, for
-// callers whose matrix is already distributed (the session API). a is the
-// assembled matrix in the same index space as the blocks, used only to
-// verify restored checkpoints; nil skips that check. ctxs optionally reuses
-// per-rank runtime contexts across attempts and solves (worker pools hold
-// no communicator state, so a context that survived an aborted attempt is
-// safe to rebind); nil builds fresh contexts per attempt.
+// ValidateResume is the pre-restart check for a caller that holds the
+// assembled matrix rather than the blocks (distjob.Supervise): it checks ck
+// against a solve of a under cfg, in the permuted index space SolveOn gives
+// the ranks and with the engine resolved as the solve resolves it.
+func ValidateResume(a *spmat.CSC, cfg Config, ck *Checkpoint) error {
+	l, cfg, err := newLayout(a, cfg)
+	if err != nil {
+		return err
+	}
+	n1, n2 := l.work.NRows, l.work.NCols
+	if cfg, err = ResolveEngineConfig(cfg, n1, n2, l.blocks); err != nil {
+		return err
+	}
+	return validateCheckpoint(l.work, cfg, n1, n2, ck)
+}
+
+// SolveRecoverableGrid is SolveRecoverable for a matrix that is already
+// distributed (the session API). a is the assembled matrix in the blocks'
+// index space, used only to verify restored checkpoints; nil skips that
+// check. ctxs optionally reuses per-rank runtime contexts across attempts
+// (a context that survived an aborted attempt is safe to rebind). Each
+// attempt runs on a fresh inproc world, or on pol.Worlds' endpoints for the
+// generation, every one Closed when its solve returns.
 func SolveRecoverableGrid(a *spmat.CSC, pr, pc, n1, n2 int, blocks, blocksT [][]*spmat.LocalMatrix,
 	cfg Config, ctxs []*rt.Ctx, pol RecoveryPolicy) (*Result, *RecoveryStats, error) {
 	cfg = cfg.withDefaults()
@@ -124,141 +158,56 @@ func SolveRecoverableGrid(a *spmat.CSC, pr, pc, n1, n2 int, blocks, blocksT [][]
 	if err != nil {
 		return nil, nil, err
 	}
-	pol = pol.withDefaults()
-	rec := &RecoveryStats{}
-
-	// Capture the freshest checkpoint as it is produced (rank 0 writes it
-	// inside the attempt; mpi.Run's completion orders that write before the
-	// driver's read), chaining to any caller-supplied handler.
-	var last *Checkpoint
-	if cfg.CheckpointEvery > 0 {
-		userCB := cfg.OnCheckpoint
-		if userCB == nil {
-			userCB = func(*Checkpoint) {}
+	check := func(ck *Checkpoint) error { return validateCheckpoint(a, cfg, n1, n2, ck) }
+	return Recover(pol, check, func(gen int, resume *Checkpoint, keep func(*Checkpoint)) (*Result, error) {
+		c := cfg
+		if resume != nil {
+			c.Resume = resume
 		}
-		cfg.OnCheckpoint = func(ck *Checkpoint) {
-			last = ck
-			rec.Checkpoints++
-			rec.CheckpointBytes += int64(ck.EncodedSize())
-			userCB(ck)
-		}
-	}
-
-	backoff := pol.Backoff
-	for gen := 0; ; gen++ {
-		rec.Attempts++
-		// Each attempt gets a fresh world: a nil pol.Worlds selects the
-		// inproc backend; otherwise the provider builds the generation's
-		// endpoints (tcpnet loopback in tests, distjob.Supervise across real
-		// processes — see docs/TRANSPORT.md).
-		res, err := runRecoveryAttempt(pr, pc, n1, n2, blocks, blocksT, cfg, ctxs, pol, gen)
-		if err == nil {
-			rec.CheckpointWall = res.Stats.CheckpointWall
-			return res, rec, nil
-		}
-		rec.Errors = append(rec.Errors, err)
-		if rec.Retries >= pol.MaxRetries {
-			return nil, rec, fmt.Errorf("core: solve failed after %d attempts: %w", rec.Attempts, err)
-		}
-		if last != nil {
-			if verr := validateCheckpoint(a, cfg, n1, n2, last, pol); verr != nil {
-				return nil, rec, fmt.Errorf("core: cannot restart, checkpoint rejected: %w (attempt failed with %v)", verr, err)
-			}
-			cfg.Resume = last
-			rec.ResumedPhase = last.Phase
-		}
-		rec.Retries++
-		time.Sleep(backoff)
-		backoff *= 2
-		if backoff > pol.MaxBackoff {
-			backoff = pol.MaxBackoff
-		}
-	}
-}
-
-// runRecoveryAttempt runs one attempt generation of the retry engine. With
-// no Worlds provider it is exactly the historical in-process attempt. With
-// one, every endpoint of the generation runs concurrently (each hosting its
-// own ranks), the result comes from the endpoint hosting rank 0 — mate
-// vectors are allgathered, so it holds the full matching — and all endpoints
-// are Closed before returning, so a failed generation leaves no goroutines
-// or sockets behind for the next one to trip over.
-func runRecoveryAttempt(pr, pc, n1, n2 int, blocks, blocksT [][]*spmat.LocalMatrix,
-	cfg Config, ctxs []*rt.Ctx, pol RecoveryPolicy, gen int) (*Result, error) {
-	if pol.Worlds == nil {
-		return SolveGrid(nil, pr, pc, n1, n2, blocks, blocksT, cfg, ctxs)
-	}
-	eps, err := pol.Worlds(gen)
-	if err != nil {
-		return nil, fmt.Errorf("core: provisioning attempt generation %d: %w", gen, err)
-	}
-	results := make([]*Result, len(eps))
-	errs := make([]error, len(eps))
-	var wg sync.WaitGroup
-	for i, ep := range eps {
-		wg.Add(1)
-		go func(i int, ep mpi.Transport) {
-			defer wg.Done()
-			defer ep.Close()
-			results[i], errs[i] = SolveGrid(ep, pr, pc, n1, n2, blocks, blocksT, cfg, ctxs)
-		}(i, ep)
-	}
-	wg.Wait()
-	if err := pickAttemptError(errs); err != nil {
-		return nil, err
-	}
-	for i, ep := range eps {
-		for _, r := range ep.LocalRanks() {
-			if r == 0 {
-				return results[i], nil
+		if c.CheckpointEvery > 0 {
+			user := cfg.OnCheckpoint
+			c.OnCheckpoint = func(ck *Checkpoint) {
+				keep(ck)
+				if user != nil {
+					user(ck)
+				}
 			}
 		}
-	}
-	return nil, fmt.Errorf("core: no endpoint of generation %d hosted rank 0", gen)
+		if pol.Worlds == nil {
+			return SolveGrid(nil, pr, pc, n1, n2, blocks, blocksT, c, ctxs)
+		}
+		eps, err := pol.Worlds(gen)
+		if err != nil {
+			return nil, fmt.Errorf("core: provisioning attempt generation %d: %w", gen, err)
+		}
+		results, err := solveEndpoints(eps, c, func(ep mpi.Transport, c Config) (*Result, error) {
+			defer ep.Close() // a failed generation leaves no sockets behind
+			return SolveGrid(ep, pr, pc, n1, n2, blocks, blocksT, c, ctxs)
+		})
+		if err != nil {
+			return nil, err
+		}
+		for i, ep := range eps {
+			if slices.Contains(ep.LocalRanks(), 0) {
+				return results[i], nil // mates are allgathered: rank 0 holds them all
+			}
+		}
+		return nil, fmt.Errorf("core: no endpoint of generation %d hosted rank 0", gen)
+	})
 }
 
-// pickAttemptError selects the error a failed multi-endpoint attempt
-// surfaces: the first injected-fault error when one exists (the endpoint
-// where the fault actually fired, rather than a peer's view of the ensuing
-// abort), otherwise the first non-nil error in endpoint order. Both rules
-// are deterministic given deterministic faults, which keeps the retry
-// engine's error stream reproducible.
-func pickAttemptError(errs []error) error {
-	for _, e := range errs {
-		if e != nil && (errors.Is(e, mpi.ErrInjectedNetFault) ||
-			errors.Is(e, mpi.ErrInjectedCrash) || errors.Is(e, mpi.ErrInjectedRMAFailure)) {
-			return e
-		}
-	}
-	for _, e := range errs {
-		if e != nil {
-			return e
-		}
-	}
-	return nil
-}
-
-// validateCheckpoint is the pre-restart safety net: shape, config hash,
-// internally consistent cardinality, and (when the matrix is available and
-// verification is on) a full validity check that every matched pair is an
+// validateCheckpoint is the pre-restart safety net: compatibility (shape,
+// engine, config hash), internally consistent cardinality, and (when the
+// matrix is available) a full validity check that every matched pair is an
 // edge and the two mate vectors agree.
-func validateCheckpoint(a *spmat.CSC, cfg Config, n1, n2 int, ck *Checkpoint, pol RecoveryPolicy) error {
-	if ck.N1 != n1 || ck.N2 != n2 {
-		return fmt.Errorf("checkpoint is %dx%d, problem is %dx%d", ck.N1, ck.N2, n1, n2)
-	}
-	if len(ck.MateR) != n1 || len(ck.MateC) != n2 {
-		return fmt.Errorf("checkpoint mate vectors are %dx%d, want %dx%d", len(ck.MateR), len(ck.MateC), n1, n2)
-	}
-	if want := cfg.Engine; ck.Engine != "" && ck.Engine != want {
-		return fmt.Errorf("checkpoint was taken by engine %q, refusing cross-engine resume with %q", ck.Engine, want)
-	}
-	if want := cfg.CheckpointHash(n1, n2); ck.ConfigHash != want {
-		return fmt.Errorf("checkpoint config hash %#x does not match current config %#x", ck.ConfigHash, want)
+func validateCheckpoint(a *spmat.CSC, cfg Config, n1, n2 int, ck *Checkpoint) error {
+	if err := ck.compatible(cfg, n1, n2); err != nil {
+		return err
 	}
 	if got := countMatched(ck.MateC); got != ck.Cardinality {
 		return fmt.Errorf("checkpoint says cardinality %d but mate vector holds %d matches", ck.Cardinality, got)
 	}
-	if !pol.DisableVerify && a != nil {
+	if a != nil {
 		if err := verify.Valid(a, &matching.Matching{MateR: ck.MateR, MateC: ck.MateC}); err != nil {
 			return fmt.Errorf("checkpoint is not a valid matching: %w", err)
 		}

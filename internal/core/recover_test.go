@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
 	"time"
 
@@ -184,5 +185,78 @@ func TestRecoverableUnderPermutation(t *testing.T) {
 	}
 	if plan.Fired() != 1 || rec.Retries != 1 {
 		t.Fatalf("fired %d retries %d, want 1/1", plan.Fired(), rec.Retries)
+	}
+}
+
+// TestRecoverableRefusesMismatchedResume: a resume checkpoint whose config
+// hash does not match is refused inside the ranks, and that refusal is not
+// restartable — a retry would reproduce it — so the loop surfaces it after
+// one attempt instead of burning the retry budget.
+func TestRecoverableRefusesMismatchedResume(t *testing.T) {
+	rng := rand.New(rand.NewSource(48))
+	a := randomBipartite(rng, 40, 40, 100)
+	var last *Checkpoint
+	cfg := Config{Procs: 4, Init: InitGreedy, CheckpointEvery: 1,
+		OnCheckpoint: func(ck *Checkpoint) { last = ck }}
+	mustSolve(t, a, cfg)
+	if last == nil {
+		t.Fatal("no checkpoint produced")
+	}
+	forged := *last
+	forged.ConfigHash ^= 1
+	cfg.OnCheckpoint = nil
+	cfg.Resume = &forged
+	pol := RecoveryPolicy{MaxRetries: 2, Backoff: time.Millisecond, MaxBackoff: time.Millisecond}
+	_, rec, err := SolveRecoverable(a, cfg, pol)
+	if err == nil {
+		t.Fatal("resume with a forged config hash accepted")
+	}
+	if !strings.Contains(err.Error(), "config hash") {
+		t.Fatalf("error does not name the config hash: %v", err)
+	}
+	if rec.Attempts != 1 || rec.Retries != 0 {
+		t.Fatalf("attempts %d retries %d, want 1/0 (a deterministic refusal is not retried)", rec.Attempts, rec.Retries)
+	}
+}
+
+// TestRecoverRejectsInconsistentCheckpoint drives the shared loop directly:
+// an attempt keeps a checkpoint whose cardinality disagrees with its mate
+// vectors and then dies of a restartable fault. The loop must validate the
+// checkpoint before resuming from it — here through ValidateResume, the
+// check distjob.Supervise runs in the permuted index space — and stop with
+// "checkpoint rejected" instead of starting a second attempt.
+func TestRecoverRejectsInconsistentCheckpoint(t *testing.T) {
+	rng := rand.New(rand.NewSource(49))
+	a := randomBipartite(rng, 40, 45, 120)
+	cfg := Config{Procs: 4, Init: InitGreedy, Permute: true, Seed: 5, CheckpointEvery: 1}
+	var good *Checkpoint
+	taking := cfg
+	taking.OnCheckpoint = func(ck *Checkpoint) { good = ck }
+	mustSolve(t, a, taking)
+	if good == nil {
+		t.Fatal("no checkpoint produced")
+	}
+	check := func(ck *Checkpoint) error { return ValidateResume(a, cfg, ck) }
+	if err := check(good); err != nil {
+		t.Fatalf("a checkpoint the solve took is rejected: %v", err)
+	}
+
+	bad := *good
+	bad.Cardinality++
+	var resumes []*Checkpoint
+	pol := RecoveryPolicy{MaxRetries: 3, Backoff: time.Millisecond, MaxBackoff: time.Millisecond}
+	_, rec, err := Recover(pol, check, func(gen int, resume *Checkpoint, keep func(*Checkpoint)) (*Result, error) {
+		resumes = append(resumes, resume)
+		keep(&bad)
+		return nil, mpi.ErrInjectedCrash
+	})
+	if err == nil || !strings.Contains(err.Error(), "checkpoint rejected") {
+		t.Fatalf("inconsistent checkpoint not rejected: %v", err)
+	}
+	if rec.Attempts != 1 || rec.Retries != 0 || rec.ResumedPhase != 0 || len(resumes) != 1 {
+		t.Fatalf("loop resumed from a rejected checkpoint: %+v (attempts saw resumes %v)", rec, resumes)
+	}
+	if rec.Checkpoints != 1 || len(rec.Errors) != 1 {
+		t.Fatalf("accounting %+v, want one kept checkpoint and one error", rec)
 	}
 }

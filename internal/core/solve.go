@@ -1,7 +1,9 @@
 package core
 
 import (
+	"errors"
 	"fmt"
+	"slices"
 	"sync"
 
 	"mcmdist/internal/grid"
@@ -58,65 +60,130 @@ func SolveOn(tr mpi.Transport, a *spmat.CSC, cfg Config) (*Result, error) {
 // rank (see RunDistributed); the pooling equivalence tests pass
 // pass-through contexts here.
 func solveOn(tr mpi.Transport, a *spmat.CSC, cfg Config, ctxs []*rt.Ctx) (*Result, error) {
+	l, cfg, err := newLayout(a, cfg)
+	if err != nil {
+		return nil, err
+	}
+	res, err := SolveGrid(tr, l.pr, l.pc, l.work.NRows, l.work.NCols, l.blocks, l.blocksT, cfg, ctxs)
+	if err != nil {
+		return nil, err
+	}
+	res.Matching = l.restore(res.Matching)
+	return res, nil
+}
+
+// layout is a solve's input in the solver's index space: the matrix after
+// the load-balancing permutation (Section IV-A), exactly as every rank,
+// attempt and checkpoint sees it, distributed on the pr x pc grid.
+type layout struct {
+	pr, pc           int
+	work             *spmat.CSC
+	blocks, blocksT  [][]*spmat.LocalMatrix
+	rowPerm, colPerm []int // nil unless cfg.Permute
+}
+
+// newLayout is the prologue of every entry point that takes an assembled
+// matrix: config defaults, the grid shape (cfg.Procs becomes its size),
+// the permutation, and the distribution of the matrix and its transpose.
+func newLayout(a *spmat.CSC, cfg Config) (*layout, Config, error) {
 	cfg = cfg.withDefaults()
 	pr, pc, err := cfg.gridShape()
 	if err != nil {
-		return nil, err
+		return nil, cfg, err
 	}
 	cfg.Procs = pr * pc
-
-	// Load balancing (Section IV-A): random row/column permutation.
-	work := a
-	var rowPerm, colPerm []int
+	l := &layout{pr: pr, pc: pc, work: a}
 	if cfg.Permute {
-		rowPerm = rmat.RandomPermutation(a.NRows, cfg.Seed*2+1)
-		colPerm = rmat.RandomPermutation(a.NCols, cfg.Seed*2+2)
-		work = a.Permute(rowPerm, colPerm)
+		l.rowPerm = rmat.RandomPermutation(a.NRows, cfg.Seed*2+1)
+		l.colPerm = rmat.RandomPermutation(a.NCols, cfg.Seed*2+2)
+		l.work = a.Permute(l.rowPerm, l.colPerm)
 	}
+	l.blocks = spmat.Distribute2D(l.work, pr, pc)
+	l.blocksT = spmat.Distribute2D(l.work.Transpose(), pr, pc)
+	return l, cfg, nil
+}
 
-	blocks := spmat.Distribute2D(work, pr, pc)
-	blocksT := spmat.Distribute2D(work.Transpose(), pr, pc)
-
-	res, err := SolveGrid(tr, pr, pc, work.NRows, work.NCols, blocks, blocksT, cfg, ctxs)
-	if err != nil {
-		return nil, err
+// restore maps a matching of the permuted matrix P·A·Q back to A's index
+// space: if row i was sent to rowPerm[i] and column j to colPerm[j], the
+// permuted pair (rowPerm[i], colPerm[j]) is the caller's (i, j).
+func (l *layout) restore(m *matching.Matching) *matching.Matching {
+	if l.rowPerm == nil {
+		return m
 	}
-	if cfg.Permute {
-		res.Matching = unpermute(res.Matching, rowPerm, colPerm)
+	out := matching.NewMatching(len(l.rowPerm), len(l.colPerm))
+	colInv := make([]int, len(l.colPerm))
+	for j, pj := range l.colPerm {
+		colInv[pj] = j
 	}
-	return res, nil
+	for i, pi := range l.rowPerm {
+		if pj := m.MateR[pi]; pj != semiring.None {
+			out.Match(i, colInv[pj])
+		}
+	}
+	return out
 }
 
 // SolveEndpoints runs one solve over every endpoint of a pre-built
 // transport set concurrently in this process — the loopback form of a
-// multi-process deployment, used by tests and the conformance suite. It
-// returns one Result per endpoint, in eps order, and the first error. The
-// caller retains ownership of the endpoints (and must Close them).
+// multi-process deployment — and returns one Result per endpoint, in eps
+// order. The caller retains ownership of the endpoints (and must Close
+// them).
 func SolveEndpoints(eps []mpi.Transport, a *spmat.CSC, cfg Config) ([]*Result, error) {
+	return solveEndpoints(eps, cfg, func(ep mpi.Transport, cfg Config) (*Result, error) {
+		return SolveOn(ep, a, cfg)
+	})
+}
+
+// solveEndpoints is the one loopback-world driver: one goroutine per
+// endpoint, each standing in for a process. With cfg.Obs set, the endpoint
+// hosting rank 0 observes into it and every other endpoint into a fresh
+// sibling, so observations really ship and cfg.Obs ends up holding the
+// whole world, as a coordinator's collector would.
+func solveEndpoints(eps []mpi.Transport, cfg Config, solve func(mpi.Transport, Config) (*Result, error)) ([]*Result, error) {
 	results := make([]*Result, len(eps))
 	errs := make([]error, len(eps))
 	var wg sync.WaitGroup
 	for i, ep := range eps {
+		cfgI := cfg
+		if cfg.Obs != nil && !slices.Contains(ep.LocalRanks(), 0) {
+			cfgI.Obs = cfg.Obs.Sibling(cfg.Obs.Ranks())
+		}
 		wg.Add(1)
-		go func(i int, ep mpi.Transport) {
+		go func(i int, ep mpi.Transport, cfgI Config) {
 			defer wg.Done()
-			results[i], errs[i] = SolveOn(ep, a, cfg)
-		}(i, ep)
+			results[i], errs[i] = solve(ep, cfgI)
+		}(i, ep, cfgI)
 	}
 	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return results, err
+	return results, pickAttemptError(errs)
+}
+
+// pickAttemptError selects the error a failed multi-endpoint solve
+// surfaces: the first injected-fault error when one exists (the endpoint
+// where the fault actually fired, rather than a peer's view of the ensuing
+// abort), otherwise the first non-nil error in endpoint order. Both rules
+// are deterministic given deterministic faults, which keeps the retry
+// loop's error stream reproducible.
+func pickAttemptError(errs []error) error {
+	for _, e := range errs {
+		if e != nil && (errors.Is(e, mpi.ErrInjectedNetFault) ||
+			errors.Is(e, mpi.ErrInjectedCrash) || errors.Is(e, mpi.ErrInjectedRMAFailure)) {
+			return e
 		}
 	}
-	return results, nil
+	for _, e := range errs {
+		if e != nil {
+			return e
+		}
+	}
+	return nil
 }
 
 // SolveGrid runs one complete solve attempt on blocks pre-distributed onto
 // a pr x pc grid: launch the world (under the configured fault plane and
 // watchdog), restore or initialize the mate vectors, run the engine, gather
 // the result and merge statistics. SolveOn and a DistributedGraph session
-// call it once; SolveRecoverableGrid calls it in a retry loop, setting
+// call it once; SolveRecoverableGrid calls it from the retry loop, setting
 // cfg.Resume between attempts. ctxs optionally supplies per-rank runtime
 // contexts (see RunDistributed). A nil tr runs on the in-process backend;
 // otherwise only tr's locally hosted ranks run, and the mate vectors are
@@ -193,25 +260,6 @@ func SolveGrid(tr mpi.Transport, pr, pc, n1, n2 int, blocks, blocksT [][]*spmat.
 		Procs:       cfg.Procs,
 		Threads:     cfg.Threads,
 	}, nil
-}
-
-// unpermute maps a matching of P·A·Q back to A's index space: if row i was
-// sent to rowPerm[i] and column j to colPerm[j], then the matching of the
-// permuted matrix at (rowPerm[i], colPerm[j]) corresponds to (i, j).
-func unpermute(m *matching.Matching, rowPerm, colPerm []int) *matching.Matching {
-	out := matching.NewMatching(len(rowPerm), len(colPerm))
-	colInv := make([]int, len(colPerm))
-	for j, pj := range colPerm {
-		colInv[pj] = j
-	}
-	for i, pi := range rowPerm {
-		pj := m.MateR[pi]
-		if pj == semiring.None {
-			continue
-		}
-		out.Match(i, colInv[pj])
-	}
-	return out
 }
 
 // SolveSerialEquivalent returns the oracle cardinality via Hopcroft–Karp,

@@ -148,10 +148,10 @@ func (s *Stats) TotalComm() mpi.CommTimes {
 	return t
 }
 
-// tracker measures one rank's per-category wall time and meter deltas. The
-// measurement itself lives in the runtime context's ledger (rt.Ctx.Track),
-// which survives across solves when a context is reused; the tracker
-// additionally writes each delta into this solve's Stats.
+// tracker measures one rank's per-category wall time and meter deltas: the
+// runtime context (rt.Ctx.Track) emits the op span and measures the delta,
+// and the tracker accumulates it into this solve's Stats, the one per-op
+// ledger.
 type tracker struct {
 	ctx   *rt.Ctx
 	stats *Stats

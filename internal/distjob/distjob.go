@@ -30,19 +30,6 @@ import (
 	"mcmdist/internal/spmat"
 )
 
-// Run decodes a job blob and solves it on the given transport endpoint: the
-// whole worker side of a distributed job, shared by cmd/mcmrank and
-// cmd/mcm's worker mode. The matrix and configuration are rebuilt locally
-// from the spec, so only the blob ever crosses the wire.
-func Run(tr mpi.Transport, blob []byte) (*core.Result, error) {
-	spec, err := Decode(blob)
-	if err != nil {
-		return nil, err
-	}
-	res, _, err := spec.Solve(tr, nil)
-	return res, err
-}
-
 // Solve runs an already-decoded spec on the given endpoint, rebuilding the
 // matrix and configuration locally. onCheckpoint, when non-nil, receives
 // each phase-boundary checkpoint on the process hosting rank 0 (the
@@ -101,9 +88,9 @@ func (s *Spec) writeFlightDump(tr mpi.Transport, col *obs.Collector, cause error
 // field; the bump is deliberate even though the field is optional, because a
 // worker that silently dropped an unknown engine would solve with a
 // different algorithm than the coordinator asked for. Version 3 adds the
-// recovery plane: generation counter, restart policy, and the checkpoint a
-// restarted world resumes from — a v2 worker joining a recovering world
-// would neither checkpoint nor resume, so the bump is again load-bearing.
+// recovery plane: generation counter and the checkpoint a restarted world
+// resumes from — a v2 worker joining a recovering world would neither
+// checkpoint nor resume, so the bump is again load-bearing.
 // Version 4 adds the observability plane (the enables from which every
 // process builds the same collector) and the flight-recorder directory — a
 // v3 worker would silently trace nothing and dump nothing, leaving holes in
@@ -171,9 +158,6 @@ type Spec struct {
 	// restartable transport failure rejoins the rendezvous for the next
 	// generation instead of exiting (see WorkLoop).
 	Recover bool `json:"recover,omitempty"`
-	// MaxRestarts bounds the generations after the first; 0 under Recover
-	// means the supervisor default.
-	MaxRestarts int `json:"max_restarts,omitempty"`
 	// CheckpointEvery takes a phase-boundary checkpoint every Nth phase on
 	// all processes (collective); the supervisor holds the freshest one.
 	CheckpointEvery int `json:"checkpoint_every,omitempty"`
@@ -245,9 +229,9 @@ func (s *Spec) validate() error {
 	if s.Procs <= 0 {
 		return fmt.Errorf("distjob: procs %d must be positive", s.Procs)
 	}
-	if s.Generation < 0 || s.MaxRestarts < 0 || s.CheckpointEvery < 0 || s.WatchdogMillis < 0 {
-		return fmt.Errorf("distjob: negative recovery field (generation %d, max_restarts %d, checkpoint_every %d, watchdog_millis %d)",
-			s.Generation, s.MaxRestarts, s.CheckpointEvery, s.WatchdogMillis)
+	if s.Generation < 0 || s.CheckpointEvery < 0 || s.WatchdogMillis < 0 {
+		return fmt.Errorf("distjob: negative recovery field (generation %d, checkpoint_every %d, watchdog_millis %d)",
+			s.Generation, s.CheckpointEvery, s.WatchdogMillis)
 	}
 	if _, err := s.rmatParams(); err != nil {
 		return err

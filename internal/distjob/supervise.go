@@ -1,8 +1,9 @@
 // Coordinator-led world restart: the recovery protocol that lets a solve
 // spanning OS processes survive a killed worker, a dropped link, or a
-// partition. The coordinator (Supervise) owns a generation counter; each
-// generation is one complete world — rendezvous, solve attempt, teardown.
-// When an attempt dies of a restartable failure, the coordinator re-listens
+// partition. The coordinator (Supervise) is a caller of core.Recover, the
+// generation loop every recoverable solve shares; each generation is one
+// complete world — rendezvous, solve attempt, teardown. When an attempt
+// dies of a restartable failure, the coordinator re-listens
 // on the same address and re-runs the rendezvous with a spec carrying the
 // bumped generation and the freshest phase-boundary checkpoint; surviving
 // workers (WorkLoop) rejoin, and a SIGKILLed worker's slot is filled by
@@ -24,17 +25,13 @@ import (
 	"mcmdist/internal/obs"
 )
 
-// SupervisePolicy bounds the coordinator's restart loop.
+// SupervisePolicy configures the coordinator's restart loop: the core retry
+// policy (MaxRetries bounds the restarts) plus the supervisor's own hooks.
+// A zero Backoff or MaxBackoff means 50ms doubling up to 2s — long enough
+// for a failed generation's sockets to drain before re-listening. Worlds
+// must be nil: every generation's world is the rendezvous.
 type SupervisePolicy struct {
-	// MaxRestarts is how many fresh generations a failed world may get
-	// before the last error is surfaced. Zero means 3.
-	MaxRestarts int
-	// Backoff is the pause before re-listening for the next generation
-	// (letting the failed generation's sockets die down), doubling each
-	// restart up to MaxBackoff. Zero means 50ms.
-	Backoff time.Duration
-	// MaxBackoff caps the exponential backoff. Zero means 2s.
-	MaxBackoff time.Duration
+	core.RecoveryPolicy
 	// Log, when non-nil, receives one progress line per generation event.
 	Log func(format string, args ...any)
 	// OnListen, when non-nil, receives the pinned rendezvous address once
@@ -45,32 +42,11 @@ type SupervisePolicy struct {
 	OnListen func(addr string)
 }
 
-func (p SupervisePolicy) withDefaults() SupervisePolicy {
-	if p.MaxRestarts <= 0 {
-		p.MaxRestarts = 3
-	}
-	if p.Backoff <= 0 {
-		p.Backoff = 50 * time.Millisecond
-	}
-	if p.MaxBackoff <= 0 {
-		p.MaxBackoff = 2 * time.Second
-	}
-	if p.Log == nil {
-		p.Log = func(string, ...any) {}
-	}
-	return p
-}
-
-// SuperviseStats reports what the supervisor did across generations.
+// SuperviseStats reports what the supervisor did across generations: the
+// core loop's counts (one attempt per generation), plus the supervisor's
+// post-mortem bundle and final collector.
 type SuperviseStats struct {
-	// Generations counts worlds run (1 when no restart was needed);
-	// Restarts is Generations minus one unless the last world also failed.
-	Generations, Restarts int
-	// ResumedPhase is the phase the final generation restarted from
-	// (0 when it started fresh or from the initializer snapshot).
-	ResumedPhase int
-	// Errors collects each failed generation's error, in order.
-	Errors []error
+	core.RecoveryStats
 	// FlightDumps lists the flight-recorder dump files accumulated in the
 	// spec's FlightDir across failed generations — the coordinator's own
 	// dumps plus those of any worker sharing the directory — sorted by
@@ -106,89 +82,103 @@ func (st *SuperviseStats) collectFlightDumps(dir string) {
 }
 
 // Supervise is the coordinator side of a recoverable multi-process solve:
-// rank 0's supervisor loop. Each generation it listens on addr, coordinates
-// a spec.Procs-rank rendezvous shipping the spec (stamped with the
-// generation number and, after a failure, the freshest checkpoint), runs
-// rank 0's share of the solve, and tears the world down. Failures that
+// rank 0's supervisor, a caller of core.Recover. Each generation it listens
+// on addr, coordinates a spec.Procs-rank rendezvous shipping the spec
+// (stamped with the generation number and, after a failure, the freshest
+// checkpoint, validated against the spec's matrix first), runs rank 0's
+// share of the solve, and tears the world down. Failures that
 // mpi.Restartable classifies as transport-level start the next generation;
 // anything else — an algorithm error, a genuine panic — surfaces
 // immediately, because restarting would only reproduce it.
 //
 // The spec's CheckpointEvery should be positive for restarts to resume
 // mid-solve; with checkpointing off a restarted generation simply starts
-// from scratch. Supervise overwrites spec.Recover, spec.Generation,
-// spec.MaxRestarts and spec.Checkpoint; everything else is the caller's.
+// from scratch. Supervise overwrites spec.Recover, spec.Generation and
+// spec.Checkpoint; everything else is the caller's. The stats are returned
+// on every path.
 func Supervise(addr string, spec *Spec, opts tcpnet.Options, pol SupervisePolicy) (*core.Result, *SuperviseStats, error) {
-	pol = pol.withDefaults()
 	stats := &SuperviseStats{}
-	spec.Recover = true
-	spec.MaxRestarts = pol.MaxRestarts
-
-	var last *core.Checkpoint
-	backoff := pol.Backoff
-	for gen := 0; ; gen++ {
-		stats.Generations++
-		spec.Generation = gen
-		spec.Checkpoint = nil
-		if last != nil {
-			spec.Checkpoint = last.Encode()
-			stats.ResumedPhase = last.Phase
-		}
-		blob, err := spec.Encode()
-		if err != nil {
-			return nil, stats, err
-		}
-		rv, err := tcpnet.Listen(addr, opts)
-		if err != nil {
-			return nil, stats, fmt.Errorf("distjob: generation %d listen: %w", gen, err)
-		}
-		if gen == 0 {
-			// Pin the kernel-chosen port (":0" listens) so every later
-			// generation rendezvouses at the address the workers know.
-			addr = rv.Addr()
-			if pol.OnListen != nil {
-				pol.OnListen(addr)
-			}
-		}
-		pol.Log("generation %d: coordinating %d-rank world at %s", gen, spec.Procs, addr)
-		res, col, err := superviseGeneration(rv, spec, blob, &last)
-		stats.Obs = col
-		if err == nil {
-			pol.Log("generation %d: solve complete", gen)
-			return res, stats, nil
-		}
-		stats.Errors = append(stats.Errors, err)
-		stats.collectFlightDumps(spec.FlightDir)
-		if !mpi.Restartable(err) {
-			return nil, stats, fmt.Errorf("distjob: generation %d failed terminally: %w", gen, err)
-		}
-		if stats.Restarts >= pol.MaxRestarts {
-			return nil, stats, fmt.Errorf("distjob: giving up after %d generations: %w", stats.Generations, err)
-		}
-		stats.Restarts++
-		resume := "from scratch"
-		if last != nil {
-			resume = fmt.Sprintf("from phase %d checkpoint", last.Phase)
-		}
-		pol.Log("generation %d failed (%v); restarting %s", gen, err, resume)
-		time.Sleep(backoff)
-		if backoff *= 2; backoff > pol.MaxBackoff {
-			backoff = pol.MaxBackoff
-		}
+	if pol.Worlds != nil {
+		return nil, stats, fmt.Errorf("distjob: SupervisePolicy.Worlds must be nil; the rendezvous provisions every generation")
 	}
+	if pol.Backoff <= 0 {
+		pol.Backoff = 50 * time.Millisecond
+	}
+	if pol.MaxBackoff <= 0 {
+		pol.MaxBackoff = 2 * time.Second
+	}
+	logf := pol.Log
+	if logf == nil {
+		logf = func(string, ...any) {}
+	}
+	spec.Recover = true
+	res, rec, err := core.Recover(pol.RecoveryPolicy, spec.checkResume,
+		func(gen int, resume *core.Checkpoint, keep func(*core.Checkpoint)) (*core.Result, error) {
+			spec.Generation = gen
+			spec.Checkpoint = nil
+			if resume != nil {
+				spec.Checkpoint = resume.Encode()
+				logf("generation %d: restarting from phase %d checkpoint", gen, resume.Phase)
+			} else if gen > 0 {
+				logf("generation %d: restarting from scratch", gen)
+			}
+			blob, err := spec.Encode()
+			if err != nil {
+				return nil, err
+			}
+			rv, err := tcpnet.Listen(addr, opts)
+			if err != nil {
+				return nil, fmt.Errorf("distjob: generation %d listen: %w", gen, err)
+			}
+			if gen == 0 {
+				// Pin the kernel-chosen port (":0" listens) so every later
+				// generation rendezvouses at the address the workers know.
+				addr = rv.Addr()
+				if pol.OnListen != nil {
+					pol.OnListen(addr)
+				}
+			}
+			logf("generation %d: coordinating %d-rank world at %s", gen, spec.Procs, addr)
+			res, col, err := superviseGeneration(rv, spec, blob, keep)
+			stats.Obs = col
+			if err != nil {
+				stats.collectFlightDumps(spec.FlightDir)
+				logf("generation %d failed: %v", gen, err)
+				return nil, err
+			}
+			logf("generation %d: solve complete", gen)
+			return res, nil
+		})
+	stats.RecoveryStats = *rec
+	return res, stats, err
 }
 
 // superviseGeneration runs one world: coordinate the rendezvous, solve rank
-// 0's share, capture the freshest checkpoint, and always tear the endpoint
+// 0's share handing each checkpoint to keep, and always tear the endpoint
 // down before returning so the next generation can re-listen cleanly.
-func superviseGeneration(rv *tcpnet.Rendezvous, spec *Spec, blob []byte, last **core.Checkpoint) (*core.Result, *obs.Collector, error) {
+func superviseGeneration(rv *tcpnet.Rendezvous, spec *Spec, blob []byte, keep func(*core.Checkpoint)) (*core.Result, *obs.Collector, error) {
 	n, err := rv.Coordinate(spec.Procs, blob)
 	if err != nil {
 		rv.Close()
 		return nil, nil, fmt.Errorf("distjob: rendezvous: %w", err)
 	}
 	defer n.Close()
-	return spec.Solve(n, func(ck *core.Checkpoint) { *last = ck })
+	return spec.Solve(n, keep)
+}
+
+// checkResume validates ck against the matrix and configuration every
+// process rebuilds from this spec, before the supervisor ships it to a
+// restarted world.
+func (s *Spec) checkResume(ck *core.Checkpoint) error {
+	a, err := s.BuildMatrix()
+	if err != nil {
+		return err
+	}
+	cfg, err := s.CoreConfig()
+	if err != nil {
+		return err
+	}
+	return core.ValidateResume(a, cfg, ck)
 }
 
 // WorkLoop is the worker side of a recoverable multi-process solve: Join the

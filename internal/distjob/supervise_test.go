@@ -43,8 +43,8 @@ func TestSuperviseRecoversFromDroppedLink(t *testing.T) {
 
 	addrCh := make(chan string, 1)
 	var (
-		res   *core.Result
-		stats *SuperviseStats
+		res    *core.Result
+		stats  *SuperviseStats
 		supErr error
 	)
 	var wg sync.WaitGroup
@@ -52,9 +52,9 @@ func TestSuperviseRecoversFromDroppedLink(t *testing.T) {
 	go func() {
 		defer wg.Done()
 		res, stats, supErr = Supervise("127.0.0.1:0", mkSpec(), tcpnet.Options{}, SupervisePolicy{
-			Backoff:  10 * time.Millisecond,
-			OnListen: func(addr string) { addrCh <- addr },
-			Log:      t.Logf,
+			RecoveryPolicy: core.RecoveryPolicy{Backoff: 10 * time.Millisecond},
+			OnListen:       func(addr string) { addrCh <- addr },
+			Log:            t.Logf,
 		})
 	}()
 	addr := <-addrCh
@@ -77,8 +77,8 @@ func TestSuperviseRecoversFromDroppedLink(t *testing.T) {
 	if supErr != nil {
 		t.Fatalf("supervisor failed: %v (stats %+v)", supErr, stats)
 	}
-	if stats.Generations != 2 || stats.Restarts != 1 {
-		t.Fatalf("generations %d restarts %d, want 2/1 (errors: %v)", stats.Generations, stats.Restarts, stats.Errors)
+	if stats.Attempts != 2 || stats.Retries != 1 {
+		t.Fatalf("generations %d restarts %d, want 2/1 (errors: %v)", stats.Attempts, stats.Retries, stats.Errors)
 	}
 	if len(stats.Errors) != 1 {
 		t.Fatalf("%d generation errors recorded, want 1: %v", len(stats.Errors), stats.Errors)
@@ -150,7 +150,7 @@ func TestSuperviseCleanRunNoRestart(t *testing.T) {
 	if supErr != nil {
 		t.Fatalf("supervisor failed: %v", supErr)
 	}
-	if stats.Generations != 1 || stats.Restarts != 0 || len(stats.Errors) != 0 {
+	if stats.Attempts != 1 || stats.Retries != 0 || len(stats.Errors) != 0 {
 		t.Fatalf("clean run stats %+v, want one generation, no restarts", stats)
 	}
 	for rank := 1; rank < procs; rank++ {
@@ -195,9 +195,9 @@ func TestSuperviseFlightRecorder(t *testing.T) {
 	go func() {
 		defer wg.Done()
 		_, stats, supErr = Supervise("127.0.0.1:0", mkSpec(), tcpnet.Options{}, SupervisePolicy{
-			Backoff:  10 * time.Millisecond,
-			OnListen: func(addr string) { addrCh <- addr },
-			Log:      t.Logf,
+			RecoveryPolicy: core.RecoveryPolicy{Backoff: 10 * time.Millisecond},
+			OnListen:       func(addr string) { addrCh <- addr },
+			Log:            t.Logf,
 		})
 	}()
 	addr := <-addrCh
@@ -217,8 +217,8 @@ func TestSuperviseFlightRecorder(t *testing.T) {
 	if supErr != nil {
 		t.Fatalf("supervisor failed: %v (stats %+v)", supErr, stats)
 	}
-	if stats.Restarts != 1 {
-		t.Fatalf("restarts %d, want 1 (errors: %v)", stats.Restarts, stats.Errors)
+	if stats.Retries != 1 {
+		t.Fatalf("restarts %d, want 1 (errors: %v)", stats.Retries, stats.Errors)
 	}
 
 	// The failed generation left dumps; every one decodes, is stamped with
@@ -278,14 +278,37 @@ func TestSuperviseTerminalErrorSurfacesImmediately(t *testing.T) {
 	spec := &Spec{RMAT: "g500", Scale: 6, Seed: 1, Procs: 2, CheckpointEvery: 1}
 	opts := tcpnet.Options{DialTimeout: 300 * time.Millisecond}
 	_, stats, err := Supervise("127.0.0.1:0", spec, opts, SupervisePolicy{
-		MaxRestarts: 3,
-		Backoff:     time.Millisecond,
+		RecoveryPolicy: core.RecoveryPolicy{MaxRetries: 3, Backoff: time.Millisecond},
 	})
 	if err == nil {
 		t.Fatal("supervisor succeeded with no workers")
 	}
-	if stats.Generations != 1 || stats.Restarts != 0 {
+	if stats.Attempts != 1 || stats.Retries != 0 {
 		t.Fatalf("empty rendezvous ran %d generations, %d restarts — want 1/0 (terminal)",
-			stats.Generations, stats.Restarts)
+			stats.Attempts, stats.Retries)
+	}
+}
+
+// TestSuperviseChecksResume pins the validation the supervisor runs before
+// shipping a checkpoint to a restarted world: a checkpoint the spec's own
+// solve took passes (it lives in the permuted index space the spec's
+// workers use), and one whose cardinality disagrees with its mate vectors
+// is refused.
+func TestSuperviseChecksResume(t *testing.T) {
+	spec := &Spec{RMAT: "g500", Scale: 7, Seed: 11, Procs: 4, Init: "greedy", CheckpointEvery: 1}
+	var last *core.Checkpoint
+	if _, _, err := spec.Solve(mpi.NewInproc(4), func(ck *core.Checkpoint) { last = ck }); err != nil {
+		t.Fatalf("solve: %v", err)
+	}
+	if last == nil {
+		t.Fatal("no checkpoint taken")
+	}
+	if err := spec.checkResume(last); err != nil {
+		t.Fatalf("the solve's own checkpoint is rejected: %v", err)
+	}
+	bad := *last
+	bad.Cardinality--
+	if err := spec.checkResume(&bad); err == nil || !strings.Contains(err.Error(), "cardinality") {
+		t.Fatalf("inconsistent checkpoint not refused: %v", err)
 	}
 }

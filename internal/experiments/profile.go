@@ -3,8 +3,6 @@ package experiments
 import (
 	"fmt"
 	"runtime"
-	"slices"
-	"sync"
 	"time"
 
 	"mcmdist/internal/core"
@@ -183,15 +181,12 @@ func transportName() string {
 // runOnBackend runs one solve on the selected transport backend. The
 // in-process backend is the plain run(); any other backend builds its full
 // endpoint set in this process (the loopback deployment), drives every
-// endpoint concurrently, and merges the per-endpoint observations — each
-// process sees only its own ranks' meters and stats, so the merged view is
-// reassembled exactly the way a multi-process harness would.
-//
-// When the solve runs observed, each endpoint gets its own collector —
-// the caller's goes to the endpoint hosting rank 0, every other endpoint
-// a fresh sibling — so the run exercises the real observation-shipping
-// protocol and the caller's collector ends up holding the merged world,
-// exactly as the coordinator of a multi-process deployment would.
+// endpoint concurrently through core.SolveEndpoints, and merges the
+// per-endpoint observations — each process sees only its own ranks' meters
+// and stats, so the merged view is reassembled exactly the way a
+// multi-process harness would. An observed solve leaves the merged world in
+// the caller's collector (SolveEndpoints gives the other endpoints sibling
+// collectors that ship to it).
 func runOnBackend(a *spmat.CSC, cfg core.Config) *core.Result {
 	name := transportName()
 	if name == "inproc" {
@@ -202,26 +197,9 @@ func runOnBackend(a *spmat.CSC, cfg core.Config) *core.Result {
 	if err != nil {
 		panic(fmt.Sprintf("experiments: %v", err))
 	}
-	results := make([]*core.Result, len(eps))
-	errs := make([]error, len(eps))
-	var wg sync.WaitGroup
-	for i, ep := range eps {
-		cfgI := cfg
-		if cfg.Obs != nil && !slices.Contains(ep.LocalRanks(), 0) {
-			cfgI.Obs = cfg.Obs.Sibling(cfg.Procs)
-		}
-		wg.Add(1)
-		go func(i int, ep mpi.Transport, cfgI core.Config) {
-			defer wg.Done()
-			results[i], errs[i] = core.SolveOn(ep, a, cfgI)
-		}(i, ep, cfgI)
-	}
-	wg.Wait()
-	err = mpi.CloseAll(eps)
-	for _, e := range errs {
-		if err == nil {
-			err = e
-		}
+	results, err := core.SolveEndpoints(eps, a, cfg)
+	if cerr := mpi.CloseAll(eps); err == nil {
+		err = cerr
 	}
 	if err != nil {
 		panic(fmt.Sprintf("experiments: %v", err))

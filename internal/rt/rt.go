@@ -15,9 +15,10 @@
 //   - epoch-stamped dense scratch (Scratch) that replaces the per-call
 //     "allocate scratch + present" pattern: instead of re-zeroing, each
 //     borrow bumps an epoch and stale entries are simply not Has();
-//   - the per-op wall-clock / communication-meter ledger (Track), folded in
-//     from the solver so metering hangs off the rank's context rather than
-//     off the communicator alone.
+//   - op measurement (Track): each tracked section emits one span and
+//     returns its wall-clock, communication-meter and communication-time
+//     delta, which the solver accumulates into the solve's Stats — the one
+//     per-op ledger.
 //
 // A Ctx belongs to exactly one rank goroutine at a time and is not
 // internally synchronized. It may be rebound (Bind) to a fresh communicator
@@ -65,8 +66,6 @@ type Ctx struct {
 	shards  map[string][]*Scratch
 
 	pool *parallel.Pool
-
-	ops map[string]OpCost
 
 	// trc is the rank's span tracer (nil = tracing off). Track records one
 	// op span per tracked section into it, which is what puts the Table I
@@ -410,22 +409,21 @@ func (s *Scratch) Mark(i int) { s.stamp[i] = s.epoch }
 // Len returns the number of entries the borrow spans.
 func (s *Scratch) Len() int { return len(s.stamp) }
 
-// OpCost is one operation category's accumulated wall time, communication
-// meter, and communication-time ledger (total vs exposed; their difference
-// is the latency the split-phase schedules hid behind local work).
+// OpCost is one tracked section's wall time, communication meter, and
+// communication-time ledger (total vs exposed; their difference is the
+// latency the split-phase schedules hid behind local work).
 type OpCost struct {
 	Wall  time.Duration
 	Meter mpi.Meter
 	Comm  mpi.CommTimes
 }
 
-// Track runs fn, attributes its wall time plus the communication-meter and
-// communication-time deltas to op in the context's ledger, and returns the
-// delta. The ledger accumulates across solves when the context is reused,
-// giving per-rank telemetry that no longer hangs off a single
-// communicator's lifetime. A split-phase request started inside one tracked
-// op and completed inside another attributes its meter and times to the op
-// that completed it.
+// Track runs fn, records it as one op span on the rank's tracer, and
+// returns its wall time plus the communication-meter and communication-time
+// deltas. The context keeps no ledger of its own: the caller accumulates
+// the deltas (core.Stats does, per solve). A split-phase request started
+// inside one tracked op and completed inside another attributes its meter
+// and times to the op that completed it.
 func (c *Ctx) Track(op string, fn func()) OpCost {
 	if c == nil || c.comm == nil {
 		start := time.Now()
@@ -443,24 +441,7 @@ func (c *Ctx) Track(op string, fn func()) OpCost {
 		Comm:  c.comm.CommTimes().Sub(beforeCT),
 	}
 	c.trc.End(obs.KindOp, op, t0, delta.Meter.Words)
-	if c.ops == nil {
-		c.ops = make(map[string]OpCost)
-	}
-	oc := c.ops[op]
-	oc.Wall += delta.Wall
-	oc.Meter = oc.Meter.Add(delta.Meter)
-	oc.Comm = oc.Comm.Add(delta.Comm)
-	c.ops[op] = oc
 	return delta
-}
-
-// OpCosts returns a copy of the per-op ledger.
-func (c *Ctx) OpCosts() map[string]OpCost {
-	out := make(map[string]OpCost, len(c.ops))
-	for k, v := range c.ops {
-		out[k] = v
-	}
-	return out
 }
 
 // MeterSnapshot returns the bound communicator's cumulative meter (zero on
