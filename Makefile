@@ -73,7 +73,7 @@ bench:
 # cmd/tracelint and uploaded as a CI artifact.
 bench-smoke:
 	$(GO) test -bench TableI -benchtime=1x -run '^$$' .
-	$(GO) run ./cmd/bench -exp profile -scale 12 -procs 4 -matrix g500 -direction auto -compress on -timeseries direction-series.csv
+	$(GO) run ./cmd/mcm -rmat g500 -scale 12 -procs 4 -direction auto -compress -timeseries direction-series.csv
 	$(GO) run ./cmd/tracelint direction-series.csv
 
 # Multi-process transport smoke: one solve spanning four OS processes over
@@ -85,13 +85,11 @@ bench-smoke:
 # cmd/tracelint. See docs/TRANSPORT.md and docs/OBSERVABILITY.md.
 transport-smoke:
 	scripts/transport_smoke.sh
-	$(GO) run ./cmd/bench -exp profile -scale 12 -procs 4 -matrix g500 -transport tcp -trace transport-trace.json
-	$(GO) run ./cmd/tracelint transport-trace.json
 
 # End-to-end observability smoke: one traced solve on the RMAT scale-14
 # workload with the iteration time-series on, then the emitted trace_event
 # JSON validated by cmd/tracelint (a trace that passes loads in Perfetto
 # and chrome://tracing). CI uploads trace.json as an artifact.
 trace-smoke:
-	$(GO) run ./cmd/bench -exp profile -scale 14 -procs 16 -matrix g500 -trace trace.json -timeseries series.csv
-	$(GO) run ./cmd/tracelint trace.json
+	$(GO) run ./cmd/mcm -rmat g500 -scale 14 -procs 16 -trace-out trace.json -timeseries series.csv
+	$(GO) run ./cmd/tracelint trace.json series.csv

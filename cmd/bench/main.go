@@ -4,13 +4,11 @@
 //
 // Usage:
 //
-//	bench -exp table2|fig3|fig4|fig5|fig6|fig7|fig8|fig9|augment|enginesweep|recovery|profile|all
-//	      [-scale N] [-procs P] [-threads T] [-no-overlap] [-transport inproc|tcp]
-//	      [-direction push|pull|auto] [-compress off|on]
+//	bench -exp table2|fig3|fig4|fig5|fig6|fig7|fig8|fig9|augment|overlap|enginesweep|recovery|all
+//	      [-scale N] [-procs P] [-threads T] [-matrix NAME]
 //	      [-checkpoint-every K] [-fault none|crash|straggler|rma]
 //	      [-fault-rank R] [-fault-at N] [-fault-delay D] [-watchdog D]
-//	      [-json out.json] [-trace out.json] [-timeseries out.csv]
-//	      [-metrics-addr :9090] [-cpuprofile cpu.pprof] [-memprofile mem.pprof]
+//	      [-json out.json] [-cpuprofile cpu.pprof] [-memprofile mem.pprof]
 //
 // Scaling figures report times from the alpha-beta cost model (see
 // internal/costmodel) next to measured host wall clock where the figure
@@ -18,60 +16,38 @@
 // paper's. Larger -scale values sharpen the shapes but take longer.
 //
 // -json writes a machine-readable envelope: every experiment's row structs
-// keyed by name, plus a measured solve profile (per-op wall seconds, exact
-// communication meters, worker-pool utilization, heap traffic, and the
-// per-iteration time-series) at the requested scale/procs/threads. When
-// checkpointing or fault injection is requested (-checkpoint-every, -fault,
-// or -exp recovery) the envelope also carries a recovery section:
-// checkpoint wall time, bytes serialized, and retry count next to the clean
-// solve's wall clock. -cpuprofile and -memprofile write pprof profiles
-// covering the experiment runs. -transport selects the backend the measured
-// profile solve runs on (inproc, or tcp for a loopback-socket world) and is
-// recorded in the envelope; results are bit-identical across backends, only
-// the wall clocks change.
+// keyed by name. -exp recovery measures the fault-tolerance plane under
+// the -checkpoint-every/-fault/-watchdog settings; -exp overlap splits the
+// communication wall into total and exposed under the split-phase and the
+// blocking schedule. -cpuprofile and -memprofile write pprof profiles
+// covering the experiment runs.
 //
-// The observability plane (docs/OBSERVABILITY.md) instruments the measured
-// profile solve: -trace writes its span timeline as Chrome trace_event JSON
-// (load in ui.perfetto.dev), -timeseries writes the per-iteration series as
-// CSV, and -metrics-addr serves live Prometheus metrics at /metrics while
-// the bench runs. With -transport tcp each loopback endpoint records into
-// its own collector and the rank-0 endpoint collects the world at solve end
-// — the real multi-process shipping protocol — so the trace, the series
-// (including the envelope's time_series), and the registry are whole-world
-// merges exactly as a distributed deployment would produce. -exp profile
-// runs only that measured solve — the quickest way to produce a trace.
+// bench only regenerates the paper. One observed solve (trace, time-series,
+// live metrics, tcp transport, direction, compression, engine) runs through
+// cmd/mcm; timing runs through the mcmbench benchmark.
 package main
 
 import (
 	"encoding/json"
 	"flag"
 	"fmt"
-	"io"
-	"net/http"
+	"math"
 	"os"
 	"runtime"
 	"runtime/pprof"
-	"slices"
 	"time"
 
-	"mcmdist/internal/core"
 	"mcmdist/internal/experiments"
-	"mcmdist/internal/mpi"
 	"mcmdist/internal/obs"
 )
 
 func main() {
-	exp := flag.String("exp", "all", "experiment to run: table2, fig3..fig9, augment, direction, dirsweep, enginesweep, gridshape, graft, quality, balance, ssms, dynamics, recovery, profile, all")
+	exp := flag.String("exp", "all", "experiment to run: table2, fig3..fig9, augment, direction, dirsweep, enginesweep, gridshape, graft, quality, balance, ssms, dynamics, overlap, recovery, all")
 	scale := flag.Int("scale", 12, "matrix scale (~2^scale vertices per side)")
 	procs := flag.Int("procs", 16, "simulated ranks for single-p experiments (perfect square)")
 	threads := flag.Int("threads", 0, "threads per rank for hybrid configurations (0 = paper default of 12)")
-	noOverlap := flag.Bool("no-overlap", false, "disable the split-phase compute/communication overlap (results are bit-identical; wall clocks and the exposed-comm ledger change)")
-	matrix := flag.String("matrix", "road_usa", "matrix for the -json measured solve profile: a Table II stand-in name or g500/er/ssca (RMAT)")
-	transport := flag.String("transport", "inproc", "transport backend for the measured solve profile: inproc, or tcp (loopback sockets, one endpoint per rank)")
-	direction := flag.String("direction", "push", "SpMV kernel policy for the measured solve profile: push, pull, or auto")
-	engine := flag.String("engine", "bfs", "matching engine for the measured solve profile: bfs, bfs-ss, bfs-graft, auction, or auto (cost-model selection)")
-	compress := flag.String("compress", "off", "delta-varint wire compression for the measured solve profile: off or on (results are bit-identical; wire volume and the WordsEnc meters change)")
-	jsonPath := flag.String("json", "", "write machine-readable results (experiment rows + measured solve profile) to this path")
+	matrix := flag.String("matrix", "road_usa", "matrix for enginesweep, overlap and recovery: a Table II stand-in name or g500/er/ssca (RMAT)")
+	jsonPath := flag.String("json", "", "write machine-readable results (every experiment's rows) to this path")
 	checkpointEvery := flag.Int("checkpoint-every", 0, "checkpoint stride (phases) for the recovery benchmark; 0 means every phase")
 	fault := flag.String("fault", "none", "fault injected into the recovery benchmark: none, crash, straggler, rma")
 	faultRank := flag.Int("fault-rank", 1, "rank the fault is injected on")
@@ -80,45 +56,21 @@ func main() {
 	watchdog := flag.Duration("watchdog", 0, "progress-watchdog timeout for the recovery benchmark; 0 leaves it off")
 	cpuProfile := flag.String("cpuprofile", "", "write a pprof CPU profile of the experiment runs to this path")
 	memProfile := flag.String("memprofile", "", "write a pprof heap profile taken after the experiment runs to this path")
-	tracePath := flag.String("trace", "", "write the measured profile solve's span timeline as Chrome trace_event JSON (Perfetto-loadable) to this path")
-	seriesPath := flag.String("timeseries", "", "write the measured profile solve's per-iteration time-series as CSV to this path")
-	metricsAddr := flag.String("metrics-addr", "", "serve live Prometheus metrics at this address's /metrics while the bench runs (e.g. :9090)")
 	flag.Parse()
 
+	if err := experiments.CheckMatrix(*matrix); err != nil {
+		fail(err)
+	}
+	if s := int(math.Sqrt(float64(*procs))); *procs <= 0 || s*s != *procs {
+		fail(fmt.Errorf("-procs %d is not a positive perfect square", *procs))
+	}
 	if *threads > 0 {
 		experiments.DefaultThreads = *threads
-	}
-	experiments.DisableOverlap = *noOverlap
-	if !slices.Contains(mpi.Transports(), *transport) {
-		fmt.Fprintf(os.Stderr, "bench: unknown -transport %q (have %v)\n", *transport, mpi.Transports())
-		os.Exit(1)
-	}
-	experiments.TransportBackend = *transport
-	dir, err := core.ParseDirection(*direction)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "bench: %v\n", err)
-		os.Exit(1)
-	}
-	experiments.DefaultDirection = dir
-	eng, err := core.ParseEngine(*engine)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "bench: %v\n", err)
-		os.Exit(1)
-	}
-	experiments.Engine = eng
-	switch *compress {
-	case "off":
-	case "on":
-		experiments.Compress = true
-	default:
-		fmt.Fprintf(os.Stderr, "bench: unknown -compress %q (want off or on)\n", *compress)
-		os.Exit(1)
 	}
 	if *cpuProfile != "" {
 		stop, err := obs.StartCPUProfile(*cpuProfile)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "bench: %v\n", err)
-			os.Exit(1)
+			fail(err)
 		}
 		defer stop()
 	}
@@ -133,7 +85,6 @@ func main() {
 		CheckpointEvery: *checkpointEvery,
 		Watchdog:        *watchdog,
 	}
-	var recProfile *experiments.RecoveryProfile
 	runOne := func(name string) bool {
 		var rows any
 		switch name {
@@ -175,13 +126,10 @@ func main() {
 			rows = experiments.TreeBalance(w, *scale, *procs, nil)
 		case "dynamics":
 			experiments.FrontierDynamics(w, "road_usa", *scale, *procs)
+		case "overlap":
+			rows = experiments.OverlapAblation(w, *matrix, *scale, *procs)
 		case "recovery":
-			p := experiments.RecoveryBench(w, *matrix, *scale, *procs, recOpts)
-			recProfile = &p
-			rows = p
-		case "profile":
-			// Only the measured (observed) solve profile, handled below —
-			// the quickest path to a trace or time-series artifact.
+			rows = experiments.RecoveryBench(w, *matrix, *scale, *procs, recOpts)
 		default:
 			return false
 		}
@@ -192,7 +140,6 @@ func main() {
 		return true
 	}
 
-	ok := true
 	if *exp == "all" {
 		for _, name := range []string{"table2", "fig3", "fig4", "fig5", "fig6", "fig7", "fig8", "fig9", "augment", "direction", "gridshape", "graft", "quality", "balance", "ssms", "treebalance"} {
 			fmt.Fprintf(w, "=== %s ===\n", name)
@@ -200,132 +147,50 @@ func main() {
 		}
 	} else if !runOne(*exp) {
 		fmt.Fprintf(os.Stderr, "bench: unknown experiment %q\n", *exp)
-		ok = false
+		os.Exit(2)
 	}
 
-	// The measured profile solve runs whenever a consumer wants its output:
-	// the -json envelope, a trace or time-series artifact, a live metrics
-	// endpoint, or -exp profile itself.
-	needProfile := ok && (*jsonPath != "" || *tracePath != "" || *seriesPath != "" ||
-		*metricsAddr != "" || *exp == "profile")
-	if needProfile {
-		t := experiments.DefaultThreads
-		var reg *obs.Registry
-		if *metricsAddr != "" {
-			reg = obs.NewRegistry()
-			mux := http.NewServeMux()
-			mux.Handle("/metrics", reg.Handler())
-			go func() {
-				if err := http.ListenAndServe(*metricsAddr, mux); err != nil {
-					fmt.Fprintf(os.Stderr, "bench: metrics server: %v\n", err)
-				}
-			}()
-			fmt.Fprintf(w, "serving metrics at http://%s/metrics\n", *metricsAddr)
+	if *jsonPath != "" {
+		envelope := struct {
+			Exp      string         `json:"exp"`
+			Scale    int            `json:"scale"`
+			Procs    int            `json:"procs"`
+			Threads  int            `json:"threads"`
+			HostCPUs int            `json:"host_cpus"`
+			Results  map[string]any `json:"results"`
+		}{
+			Exp:      *exp,
+			Scale:    *scale,
+			Procs:    *procs,
+			Threads:  experiments.DefaultThreads,
+			HostCPUs: runtime.NumCPU(),
+			Results:  results,
 		}
-		col := obs.NewCollector(*procs, obs.Options{
-			Spans:      *tracePath != "",
-			TimeSeries: true,
-			Metrics:    reg,
-		})
-		prof := experiments.ProfileObserved(*matrix, *scale, *procs, t, col)
-		if reg != nil {
-			reg.Counter("mcm_solves_total", "Solves completed by this bench process.").Inc()
+		buf, err := json.MarshalIndent(envelope, "", "  ")
+		if err != nil {
+			fail(err)
 		}
-		if *tracePath != "" {
-			if err := writeArtifact(*tracePath, col.WriteTrace); err != nil {
-				fmt.Fprintf(os.Stderr, "bench: %v\n", err)
-				os.Exit(1)
-			}
-			prof.TraceFile = *tracePath
-			fmt.Fprintf(w, "wrote %s (load in ui.perfetto.dev)\n", *tracePath)
+		if err := os.WriteFile(*jsonPath, append(buf, '\n'), 0o644); err != nil {
+			fail(err)
 		}
-		if *seriesPath != "" {
-			if err := writeArtifact(*seriesPath, col.WriteSeriesCSV); err != nil {
-				fmt.Fprintf(os.Stderr, "bench: %v\n", err)
-				os.Exit(1)
-			}
-			prof.SeriesFile = *seriesPath
-			fmt.Fprintf(w, "wrote %s\n", *seriesPath)
-		}
-		fmt.Fprintf(w, "profile: %s scale=%d p=%d t=%d |M|=%d iters=%d wall=%.3fs\n",
-			*matrix, *scale, prof.Procs, prof.Threads, prof.Cardinality,
-			prof.Iterations, prof.WallSeconds)
-
-		if *jsonPath != "" {
-			if recProfile == nil && (*fault != "none" || *checkpointEvery > 0) {
-				// Recovery instrumentation was requested but no recovery
-				// experiment ran: measure it now (quietly) for the envelope.
-				p := experiments.RecoveryBench(io.Discard, *matrix, *scale, *procs, recOpts)
-				recProfile = &p
-			}
-			envelope := struct {
-				Exp       string                       `json:"exp"`
-				Scale     int                          `json:"scale"`
-				Procs     int                          `json:"procs"`
-				Threads   int                          `json:"threads"`
-				Transport string                       `json:"transport"`
-				Direction string                       `json:"direction"`
-				Engine    string                       `json:"engine"`
-				Compress  bool                         `json:"compress"`
-				HostCPUs  int                          `json:"host_cpus"`
-				Results   map[string]any               `json:"results"`
-				Profile   experiments.SolveProfile     `json:"profile"`
-				Recovery  *experiments.RecoveryProfile `json:"recovery,omitempty"`
-			}{
-				Exp:       *exp,
-				Scale:     *scale,
-				Procs:     *procs,
-				Threads:   t,
-				Transport: *transport,
-				Direction: dir.String(),
-				Engine:    prof.Engine,
-				Compress:  experiments.Compress,
-				HostCPUs:  runtime.NumCPU(),
-				Results:   results,
-				Profile:   prof,
-				Recovery:  recProfile,
-			}
-			buf, err := json.MarshalIndent(envelope, "", "  ")
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "bench: %v\n", err)
-				os.Exit(1)
-			}
-			buf = append(buf, '\n')
-			if err := os.WriteFile(*jsonPath, buf, 0o644); err != nil {
-				fmt.Fprintf(os.Stderr, "bench: %v\n", err)
-				os.Exit(1)
-			}
-			fmt.Fprintf(w, "wrote %s\n", *jsonPath)
-		}
+		fmt.Fprintf(w, "wrote %s\n", *jsonPath)
 	}
 
 	if *memProfile != "" {
 		f, err := os.Create(*memProfile)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "bench: %v\n", err)
-			os.Exit(1)
+			fail(err)
 		}
 		runtime.GC()
 		if err := pprof.WriteHeapProfile(f); err != nil {
-			fmt.Fprintf(os.Stderr, "bench: %v\n", err)
-			os.Exit(1)
+			fail(err)
 		}
 		f.Close()
 	}
-	if !ok {
-		os.Exit(2)
-	}
 }
 
-// writeArtifact creates path and streams write into it.
-func writeArtifact(path string, write func(io.Writer) error) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := write(f); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
+// fail prints err as the command's one-line diagnostic and exits 1.
+func fail(err error) {
+	fmt.Fprintf(os.Stderr, "bench: %v\n", err)
+	os.Exit(1)
 }

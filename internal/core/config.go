@@ -92,7 +92,7 @@ const (
 	DirectionAuto
 )
 
-// String names the direction mode like the cmd/bench flag values.
+// String names the direction mode like the cmd/mcm -direction values.
 func (d Direction) String() string {
 	switch d {
 	case DirectionPush:

@@ -38,7 +38,7 @@ func mustMaximum(t *testing.T, a *spmat.CSC, m *matching.Matching, label string)
 // mate vectors and the per-rank meter ledgers.
 func TestEngineConformance(t *testing.T) {
 	a := rmat.MustGenerate(rmat.G500, 6, 4, 21)
-	for _, name := range Names() {
+	for _, name := range core.EngineNames() {
 		for threads := 1; threads <= 4; threads++ {
 			t.Run(fmt.Sprintf("%s/t%d", name, threads), func(t *testing.T) {
 				cfg := core.Config{Engine: name, Procs: 4, Threads: threads, Seed: 5}
@@ -91,7 +91,7 @@ func TestEngineConformanceUnderFaults(t *testing.T) {
 			return &mpi.FaultPlan{CrashRank: 3, CrashAtCollective: 60}
 		},
 	}
-	for _, name := range Names() {
+	for _, name := range core.EngineNames() {
 		for pname, plan := range plans {
 			t.Run(name+"/"+pname, func(t *testing.T) {
 				cfg := core.Config{
@@ -190,20 +190,21 @@ func TestAutoEngineResolvesAndSolves(t *testing.T) {
 	}
 	mustMaximum(t, a, res.Matching, "auto")
 	found := false
-	for _, n := range Names() {
+	for _, n := range core.EngineNames() {
 		if res.Stats.Engine == n {
 			found = true
 		}
 	}
 	if !found {
-		t.Fatalf("Stats.Engine = %q, not a registered engine %v", res.Stats.Engine, Names())
+		t.Fatalf("Stats.Engine = %q, not a registered engine %v", res.Stats.Engine, core.EngineNames())
 	}
 }
 
-// TestFacade covers the registry façade: the canonical names are present
-// and parse, other spellings do not, and capability flags are visible.
+// TestFacade covers core's engine registry as a binary that links this
+// package sees it: the canonical names are present and parse, other
+// spellings do not, and the auction plug-in's capability flags are visible.
 func TestFacade(t *testing.T) {
-	names := Names()
+	names := core.EngineNames()
 	for _, want := range []string{core.EngineBFS, core.EngineBFSSingleSource, core.EngineBFSGraft, core.EngineAuction} {
 		ok := false
 		for _, n := range names {
@@ -215,20 +216,20 @@ func TestFacade(t *testing.T) {
 			t.Fatalf("engine %q not registered (have %v)", want, names)
 		}
 	}
-	if got, err := Parse(core.EngineBFSGraft); err != nil || got != core.EngineBFSGraft {
-		t.Fatalf("Parse(bfs-graft) = %q, %v", got, err)
+	if got, err := core.ParseEngine(core.EngineBFSGraft); err != nil || got != core.EngineBFSGraft {
+		t.Fatalf("ParseEngine(bfs-graft) = %q, %v", got, err)
 	}
 	// "nope" and the removed legacy aliases are all unknown spellings.
 	for _, bad := range []string{"nope", "graft", "ss", "single-source", "ms-bfs"} {
-		if _, err := Parse(bad); err == nil {
-			t.Fatalf("Parse accepted %q", bad)
+		if _, err := core.ParseEngine(bad); err == nil {
+			t.Fatalf("ParseEngine accepted %q", bad)
 		}
 	}
-	caps, ok := Caps(core.EngineAuction)
-	if !ok || !caps.Checkpointable || caps.Augmenting {
-		t.Fatalf("auction caps wrong: %+v ok=%v", caps, ok)
+	auction, ok := core.EngineByName(core.EngineAuction)
+	if !ok || !auction.Caps().Checkpointable || auction.Caps().Augmenting {
+		t.Fatalf("auction caps wrong: ok=%v", ok)
 	}
-	if _, ok := Caps("nope"); ok {
-		t.Fatal("Caps found an unregistered engine")
+	if _, ok := core.EngineByName("nope"); ok {
+		t.Fatal("EngineByName found an unregistered engine")
 	}
 }

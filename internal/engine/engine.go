@@ -1,7 +1,6 @@
 // Package engine hosts the matching engines that plug into core's Engine
-// seam from outside the core package, plus a small façade over the registry
-// for callers (cmd/bench, the session API) that want to enumerate or
-// validate engines without reaching into core.
+// seam from outside the core package. The registry itself (EngineNames,
+// ParseEngine, EngineByName) lives in core.
 //
 // Placement: the three MS-BFS engines live inside internal/core — their
 // phase kernels are core's private SpMV/select/augment machinery and core's
@@ -11,22 +10,3 @@
 // engine is the first such plug-in. Importing this package (typically as a
 // blank import) is what makes those engines available; see docs/ENGINES.md.
 package engine
-
-import "mcmdist/internal/core"
-
-// Names returns every engine registered in this binary, sorted. With this
-// package imported that is at least bfs, bfs-graft, bfs-ss and auction.
-func Names() []string { return core.EngineNames() }
-
-// Parse validates an engine spelling without checking registration; see
-// core.ParseEngine.
-func Parse(s string) (string, error) { return core.ParseEngine(s) }
-
-// Caps returns the capability flags of a registered engine.
-func Caps(name string) (core.EngineCaps, bool) {
-	e, ok := core.EngineByName(name)
-	if !ok {
-		return core.EngineCaps{}, false
-	}
-	return e.Caps(), true
-}

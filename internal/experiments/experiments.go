@@ -29,42 +29,10 @@ var Model = costmodel.EdisonMini
 // hybrid configuration at once.
 var DefaultThreads = 12
 
-// DisableOverlap, when set (cmd/bench -no-overlap), runs every experiment
-// on the blocking schedule (Config.DisableOverlap). Results and
-// communication meters are bit-identical either way; only wall clocks and
-// the exposed-communication ledger change.
-var DisableOverlap = false
-
-// TransportBackend selects the transport the measured solve profile runs
-// on (cmd/bench -transport): "inproc" (the default simulation) or any
-// other registered backend, e.g. "tcp" for a loopback-socket world hosted
-// by this process. The scripted experiments always run in-process; results
-// are bit-identical across backends (the conformance suite pins this), so
-// the knob exists to measure the real communication stack, not to change
-// answers.
-var TransportBackend = "inproc"
-
-// DefaultDirection pins the measured profile solve's SpMV kernel choice
-// (cmd/bench -direction): DirectionPush (the zero value), DirectionPull or
-// DirectionAuto.
-var DefaultDirection core.Direction
-
-// Compress runs the measured profile solve with the delta-varint wire
-// codec (cmd/bench -compress): serializing backends encode payloads on the
-// wire and every backend meters the encoded volume as Meter.WordsEnc.
-// Results are bit-identical with it on or off.
-var Compress = false
-
-// Engine pins the measured profile solve's matching engine (cmd/bench
-// -engine): a registry name, "auto" for the cost model's per-instance
-// choice, or "" for the default (bfs). See docs/ENGINES.md.
-var Engine string
-
 // Run solves the matrix on p ranks with the given options and returns the
 // result; it panics on configuration errors (experiment code paths use
 // known-good configurations).
 func run(a *spmat.CSC, cfg core.Config) *core.Result {
-	cfg.DisableOverlap = DisableOverlap
 	res, err := core.Solve(a, cfg)
 	if err != nil {
 		panic(fmt.Sprintf("experiments: %v", err))
@@ -86,19 +54,41 @@ func newTab(w io.Writer) *tabwriter.Writer {
 // suiteMatrix generates one Table II stand-in at the given scale, or an
 // RMAT matrix for the synthetic class names "g500", "er" and "ssca".
 func suiteMatrix(name string, scale int) *spmat.CSC {
-	switch name {
-	case "g500":
-		return rmat.MustGenerate(rmat.G500, scale, 8, 17)
-	case "er":
-		return rmat.MustGenerate(rmat.ER, scale, 8, 17)
-	case "ssca":
-		return rmat.MustGenerate(rmat.SSCA, scale, 8, 17)
+	if p, ok := rmatClass(name); ok {
+		return rmat.MustGenerate(p, scale, 8, 17)
 	}
 	sp, err := gen.FindSpec(name)
 	if err != nil {
 		panic(err)
 	}
 	return gen.MustGenerate(sp, scale)
+}
+
+// rmatClass maps the synthetic class names suiteMatrix accepts to their
+// RMAT parameters.
+func rmatClass(name string) (rmat.Params, bool) {
+	switch name {
+	case "g500":
+		return rmat.G500, true
+	case "er":
+		return rmat.ER, true
+	case "ssca":
+		return rmat.SSCA, true
+	}
+	return rmat.Params{}, false
+}
+
+// CheckMatrix reports an error unless the experiments can generate the
+// named matrix: a Table II stand-in or one of the RMAT classes g500, er
+// and ssca.
+func CheckMatrix(name string) error {
+	if _, ok := rmatClass(name); ok {
+		return nil
+	}
+	if _, err := gen.FindSpec(name); err != nil {
+		return fmt.Errorf("unknown matrix %q (want a Table II stand-in name or g500, er, ssca)", name)
+	}
+	return nil
 }
 
 // MatrixInfo is one row of the Table II inventory.

@@ -212,6 +212,34 @@ func TestGraftAblation(t *testing.T) {
 	}
 }
 
+// TestOverlapAblation checks the two schedules solve identically. Only the
+// communication ledger may differ, and it must stay consistent: a rank
+// cannot be blocked on a request longer than the request was in flight.
+func TestOverlapAblation(t *testing.T) {
+	rows := OverlapAblation(io.Discard, "g500", 9, 4)
+	if len(rows) != 2 || rows[0].Schedule != "split-phase" || rows[1].Schedule != "blocking" {
+		t.Fatalf("rows %+v, want split-phase then blocking", rows)
+	}
+	on, off := rows[0], rows[1]
+	if on.Cardinality != off.Cardinality || on.Iterations != off.Iterations || on.Words != off.Words {
+		t.Errorf("schedules diverge: split-phase |M|=%d iters=%d words=%d, blocking |M|=%d iters=%d words=%d",
+			on.Cardinality, on.Iterations, on.Words, off.Cardinality, off.Iterations, off.Words)
+	}
+	for _, r := range rows {
+		if r.Cardinality == 0 || r.Words == 0 {
+			t.Errorf("%s: empty solve %+v", r.Schedule, r)
+		}
+		if r.CommExposedSeconds > r.CommTotalSeconds {
+			t.Errorf("%s: exposed %.6fs exceeds total %.6fs", r.Schedule, r.CommExposedSeconds, r.CommTotalSeconds)
+		}
+	}
+	// The blocking schedule books a request as in flight only while its
+	// rank waits on it, so its ledger hides nothing by construction.
+	if off.CommExposedSeconds != off.CommTotalSeconds || off.HiddenFraction != 0 {
+		t.Errorf("blocking schedule hid communication: %+v", off)
+	}
+}
+
 func TestInitQualityOrdering(t *testing.T) {
 	rows := InitQuality(io.Discard, 10, nil)
 	if len(rows) != 13 {

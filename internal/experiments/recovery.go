@@ -69,8 +69,8 @@ func (o RecoveryOptions) plan() (*mpi.FaultPlan, error) {
 }
 
 // RecoveryProfile is the machine-readable recovery-overhead report behind
-// cmd/bench -json: what the fault plane and checkpoint/restart engine cost
-// next to the clean solve of the same problem.
+// cmd/bench -exp recovery: what the fault plane and checkpoint/restart
+// engine cost next to the clean solve of the same problem.
 type RecoveryProfile struct {
 	Matrix          string `json:"matrix"`
 	Scale           int    `json:"scale"`
@@ -112,8 +112,7 @@ func RecoveryBench(w io.Writer, name string, scale, procs int, opts RecoveryOpti
 		panic(err)
 	}
 	a := suiteMatrix(name, scale)
-	cfg := core.Config{Procs: procs, Init: core.InitDynMinDegree, Threads: DefaultThreads,
-		DisableOverlap: DisableOverlap}
+	cfg := core.Config{Procs: procs, Init: core.InitDynMinDegree, Threads: DefaultThreads}
 
 	cleanStart := time.Now()
 	clean := run(a, cfg)

@@ -134,11 +134,6 @@ type Options struct {
 	// payloads on the wire and every backend meters the encoded volume.
 	// Results are bit-identical with it on or off.
 	Compress bool
-	// DisableOverlap runs every collective on the blocking schedule: no
-	// communication hides behind computation. Results and communication
-	// meters are bit-identical either way; only wall clocks and the
-	// Stats.CommTimeByOp exposed times change.
-	DisableOverlap bool
 	// Permute randomly permutes rows and columns before distribution for
 	// load balance (Section IV-A).
 	Permute bool
@@ -159,15 +154,14 @@ type Options struct {
 // Engine and Direction spellings.
 func (o Options) toConfig() (core.Config, error) {
 	cfg := core.Config{
-		Procs:          o.Procs,
-		GridRows:       o.GridRows,
-		GridCols:       o.GridCols,
-		Threads:        o.Threads,
-		DisablePrune:   o.DisablePrune,
-		Compress:       o.Compress,
-		DisableOverlap: o.DisableOverlap,
-		Permute:        o.Permute,
-		Seed:           o.Seed,
+		Procs:        o.Procs,
+		GridRows:     o.GridRows,
+		GridCols:     o.GridCols,
+		Threads:      o.Threads,
+		DisablePrune: o.DisablePrune,
+		Compress:     o.Compress,
+		Permute:      o.Permute,
+		Seed:         o.Seed,
 	}
 	var err error
 	if cfg.Engine, err = core.ParseEngine(o.Engine); err != nil {
