@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: build test race bench bench-smoke vet test-faults soak trace-smoke transport-smoke fuzz-smoke chaos-smoke
+.PHONY: build test race bench bench-smoke vet test-faults soak trace-smoke transport-smoke fuzz-smoke chaos-smoke loc
 
 build:
 	$(GO) build ./...
@@ -13,6 +13,12 @@ test:
 
 vet:
 	$(GO) vet ./...
+
+# Go line counts as ROADMAP.md tracks them: production code (non-_test.go)
+# and tests, both excluding the separate mcmbench module.
+loc:
+	@echo "production $$(find . -name '*.go' ! -name '*_test.go' ! -path './mcmbench/*' | xargs cat | wc -l)"
+	@echo "tests $$(find . -name '*_test.go' ! -path './mcmbench/*' | xargs cat | wc -l)"
 
 # The simulated MPI runtime is goroutine-per-rank; the race detector
 # exercises the rendezvous and the buffer-lending collectives directly.

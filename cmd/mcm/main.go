@@ -78,7 +78,7 @@ func main() {
 	noPermute := flag.Bool("no-permute", false, "skip the load-balancing random permutation")
 	verify := flag.Bool("verify", false, "certify the result with the König vertex-cover certificate")
 	breakdown := flag.Bool("breakdown", false, "print the per-primitive runtime breakdown")
-	trace := flag.Bool("trace", false, "print one line per BFS iteration")
+	trace := flag.Bool("trace", false, "print one line per iteration (BFS level or auction round)")
 	traceOut := flag.String("trace-out", "", "write a Perfetto/Chrome trace of the solve to this file (tcp coordinator: one merged world trace, all ranks)")
 	timeseries := flag.String("timeseries", "", "write the per-iteration time-series CSV to this file (tcp coordinator: rank-merged across the world)")
 	metricsAddr := flag.String("metrics-addr", "", "serve the metrics registry in Prometheus text format at this address for the duration of the run (tcp coordinator: world-aggregated at solve end)")

@@ -180,9 +180,9 @@ type Config struct {
 	DisableOverlap bool
 	// Seed drives the permutation and any randomized initializer.
 	Seed int64
-	// OnIteration, when non-nil, is invoked by rank 0 after every
-	// level-synchronous iteration with SPMD-replicated counters — a
-	// lightweight trace for debugging and teaching.
+	// OnIteration, when non-nil, is invoked by rank 0 after every engine
+	// iteration (a BFS level or an auction round) with SPMD-replicated
+	// counters — a lightweight trace for debugging and teaching.
 	OnIteration func(IterInfo)
 	// Obs attaches the observability plane (internal/obs) to the run: span
 	// tracing onto per-rank ring buffers, per-iteration time-series, and an

@@ -32,41 +32,50 @@ func (s *Solver) obsIterBegin() int64 {
 }
 
 // obsIterEnd closes one iteration's observation: it updates the Stats
-// frontier summary, records the iteration span, and appends a time-series
-// sample with this rank's meter/comm/pool deltas since obsIterBegin.
-// Always called (it is nil-safe), so the peak-frontier summary is
-// maintained even with observability off.
+// frontier summary, records the iteration span, appends a time-series
+// sample with this rank's meter/comm/pool deltas since obsIterBegin, and
+// calls Config.OnIteration on rank 0. It is the one per-iteration hook
+// every engine calls, nil-safe, so the peak-frontier summary is maintained
+// even with observability off.
 func (s *Solver) obsIterEnd(t0 int64, phase, frontier, newPaths int, pull bool) {
 	if frontier > s.Stats.PeakFrontier {
 		s.Stats.PeakFrontier = frontier
 		s.Stats.PeakFrontierIteration = s.Stats.Iterations
 	}
 	s.G.RT.Tracer().End(obs.KindIteration, "iteration", t0, int64(frontier))
-	if s.rec == nil {
-		return
+	if s.rec != nil {
+		meter := s.G.World.MeterSnapshot().Sub(s.iterBase.meter)
+		comm := s.G.World.CommTimes().Sub(s.iterBase.comm)
+		pool := s.G.RT.ThreadStats().Sub(s.iterBase.pool)
+		direction := "push"
+		if pull {
+			direction = "pull"
+		}
+		s.rec.Record(obs.IterSample{
+			Phase:        phase,
+			Iteration:    s.Stats.Iterations,
+			Frontier:     frontier,
+			NewPaths:     newPaths,
+			Matched:      s.Stats.InitCardinality + s.Stats.AugmentedPaths,
+			Pull:         pull,
+			Direction:    direction,
+			WallNs:       obs.Now() - s.iterBase.wall,
+			Msgs:         meter.Msgs,
+			Words:        meter.Words,
+			WordsEncoded: meter.WordsEnc,
+			CommNs:       int64(comm.Total),
+			ExposedNs:    int64(comm.Exposed),
+			PoolBusyNs:   int64(pool.Busy),
+			PoolSpanNs:   int64(pool.Span),
+		})
 	}
-	meter := s.G.World.MeterSnapshot().Sub(s.iterBase.meter)
-	comm := s.G.World.CommTimes().Sub(s.iterBase.comm)
-	pool := s.G.RT.ThreadStats().Sub(s.iterBase.pool)
-	direction := "push"
-	if pull {
-		direction = "pull"
+	if s.Cfg.OnIteration != nil && s.G.World.Rank() == 0 {
+		s.Cfg.OnIteration(IterInfo{
+			Phase:        phase,
+			Iteration:    s.Stats.Iterations,
+			FrontierSize: frontier,
+			NewPaths:     newPaths,
+			Pull:         pull,
+		})
 	}
-	s.rec.Record(obs.IterSample{
-		Phase:        phase,
-		Iteration:    s.Stats.Iterations,
-		Frontier:     frontier,
-		NewPaths:     newPaths,
-		Matched:      s.Stats.InitCardinality + s.Stats.AugmentedPaths,
-		Pull:         pull,
-		Direction:    direction,
-		WallNs:       obs.Now() - s.iterBase.wall,
-		Msgs:         meter.Msgs,
-		Words:        meter.Words,
-		WordsEncoded: meter.WordsEnc,
-		CommNs:       int64(comm.Total),
-		ExposedNs:    int64(comm.Exposed),
-		PoolBusyNs:   int64(pool.Busy),
-		PoolSpanNs:   int64(pool.Span),
-	})
 }

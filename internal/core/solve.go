@@ -262,12 +262,6 @@ func SolveGrid(tr mpi.Transport, pr, pc, n1, n2 int, blocks, blocksT [][]*spmat.
 	}, nil
 }
 
-// SolveSerialEquivalent returns the oracle cardinality via Hopcroft–Karp,
-// for callers wanting a one-line cross-check of Solve's result.
-func SolveSerialEquivalent(a *spmat.CSC) int {
-	return matching.HopcroftKarp(a, nil).Cardinality()
-}
-
 // String renders a compact one-line summary of the result.
 func (r *Result) String() string {
 	return fmt.Sprintf("|M|=%d (init %d) phases=%d iters=%d p=%d t=%d",

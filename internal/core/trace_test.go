@@ -43,10 +43,12 @@ func computeKind(k obs.Kind) bool {
 func TestTraceSpansNestPerRank(t *testing.T) {
 	t.Run("mcm", func(t *testing.T) { checkNesting(t, Config{}) })
 	t.Run("graft", func(t *testing.T) { checkNesting(t, Config{Engine: EngineBFSGraft}) })
+	t.Run("ss", func(t *testing.T) { checkNesting(t, Config{Engine: EngineBFSSingleSource}) })
 }
 
 // checkNesting solves with cfg under a collector and asserts every rank's
-// compute-track spans form a proper forest.
+// compute-track spans form a proper forest with one solve span and at
+// least one phase, iteration and op span.
 func checkNesting(t *testing.T, cfg Config) {
 	t.Helper()
 	const procs = 4
@@ -59,7 +61,7 @@ func checkNesting(t *testing.T, cfg Config) {
 		if len(spans) == 0 {
 			t.Fatalf("rank %d recorded no spans", r)
 		}
-		var solves, iters, ops int
+		var solves, phases, iters, ops int
 		// Spans are recorded at End, so the ring holds children before
 		// their parents. Re-sort into document order (start ascending,
 		// longer span first on ties) and run the stack containment check:
@@ -77,6 +79,8 @@ func checkNesting(t *testing.T, cfg Config) {
 			switch sp.Kind {
 			case obs.KindSolve:
 				solves++
+			case obs.KindPhase:
+				phases++
 			case obs.KindIteration:
 				iters++
 			case obs.KindOp:
@@ -107,8 +111,8 @@ func checkNesting(t *testing.T, cfg Config) {
 		if solves != 1 {
 			t.Fatalf("rank %d: %d solve spans, want 1", r, solves)
 		}
-		if iters == 0 || ops == 0 {
-			t.Fatalf("rank %d: iters=%d ops=%d, want both > 0", r, iters, ops)
+		if phases == 0 || iters == 0 || ops == 0 {
+			t.Fatalf("rank %d: phases=%d iters=%d ops=%d, want all > 0", r, phases, iters, ops)
 		}
 	}
 }

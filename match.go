@@ -139,9 +139,9 @@ type Options struct {
 	Permute bool
 	// Seed drives the permutation.
 	Seed int64
-	// Trace, when non-nil, receives one line per level-synchronous
-	// iteration: phase, frontier size, paths found, and the SpMV direction
-	// used.
+	// Trace, when non-nil, receives one line per engine iteration (a BFS
+	// level or an auction round): phase, frontier size, paths found, and
+	// the SpMV direction used.
 	Trace io.Writer
 	// Observe, when non-nil, attaches the observability plane — span
 	// tracing, per-iteration time-series, live metrics — per its fields;
